@@ -4,8 +4,8 @@ Dense path: LAPACK symmetric eigensolver with post-hoc verification
 (residual spot checks on small orders, trace + Sylvester-inertia
 cross-checks on large ones).  Partial path: recursive bisection on inertia
 counts with shift-invert Lanczos per slice, each slice verified against the
-inertia difference.  Extremal path: hand-rolled Lanczos with full
-reorthogonalization and subspace-doubling restarts.
+inertia difference.  Inertia counts come from a SuperLU factorization
+restricted to diagonal pivots.
 """
 
 from __future__ import annotations
@@ -20,14 +20,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CapExceededError, ConvergenceError
-from .ldlt import LDLTFactorizer, inertia_count
+from .errors import CapExceededError, ConvergenceError, FactorizationError
 
 DENSE_CAP = 10_000
 # Downstream log-periodic extraction is sensitive to spectral noise; keep
 # these in one place.
 EIG_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-8
+# Shifts below sigma, in units of the matrix scale, tried in turn while the
+# factorization of A - sigma*I breaks down.
+INERTIA_STEPS = (0.0, 1e-9, 1e-6, 1e-3)
 
 
 @dataclass
@@ -87,6 +89,51 @@ def gershgorin_interval(matrix: sp.spmatrix) -> tuple[float, float]:
     return float(np.min(d - radii)), float(np.max(d + radii))
 
 
+def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
+    """Number of eigenvalues of a symmetric matrix strictly below ``sigma``.
+
+    Sylvester's law of inertia on a SuperLU factorization of A - sigma*I in a
+    symmetric fill-reducing order (minimum degree on A + A^T) with diagonal
+    pivots only: then U = D L^T and the count is the number of negative
+    pivots.  The factorization is trusted only when its row and column orders
+    agree (every pivot came from the diagonal) and every pivot is finite and
+    larger in magnitude than the rounding bound n * eps * scale, where
+    scale = max(1, |sigma|, max |A_ij|).  Otherwise, also when A - sigma*I is
+    exactly singular, the shift is lowered by 1e-9, then 1e-6, then 1e-3
+    times the scale.  A shift on an eigenvalue breaks down this way, and
+    lowering it keeps the strict count: the count is exact unless an
+    eigenvalue lies in (sigma - step, sigma) for the step taken.  Raises
+    FactorizationError when every shift breaks down.
+    """
+    A = sp.csc_matrix(matrix)
+    n = A.shape[0]
+    if n != A.shape[1]:
+        raise ValueError("matrix must be square")
+    scale = max(1.0, abs(sigma), float(abs(A).max()))
+    floor = n * np.finfo(np.float64).eps * scale
+    eye = sp.identity(n, format="csc")
+    for step in INERTIA_STEPS:
+        shifted = A - (sigma - step * scale) * eye
+        # SuperLU would pivot an exactly zero diagonal entry off the
+        # diagonal, which loses the symmetric order and its sparsity.
+        if not np.all(shifted.diagonal()):
+            continue
+        try:
+            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError:  # exactly singular
+            continue
+        d = lu.U.diagonal()
+        if np.array_equal(lu.perm_r, lu.perm_c) \
+                and np.all(np.isfinite(d) & (np.abs(d) > floor)):
+            return int(np.count_nonzero(d < 0.0))
+    raise FactorizationError(
+        f"inertia at sigma={sigma!r}: factorization broke down at every "
+        f"shift step {INERTIA_STEPS}"
+    )
+
+
 def _residual_spot_check(dense: np.ndarray, w: np.ndarray) -> None:
     # Re-solve a few eigenpairs with vectors and verify both the true
     # residual and agreement with the vector-free solve.
@@ -119,13 +166,12 @@ def _inertia_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
     # match the index exactly.
     gaps = np.diff(w)
     order = np.argsort(gaps)[::-1]
-    fac = LDLTFactorizer(sp.csr_matrix(matrix))
     checked = 0
     for idx in order:
         if gaps[idx] <= 1e-8:
             break
         sigma = 0.5 * (w[idx] + w[idx + 1])
-        if fac.inertia(sigma) != idx + 1:
+        if inertia_count(matrix, sigma) != idx + 1:
             raise ConvergenceError(
                 f"inertia cross-check failed at sigma={sigma!r}"
             )
@@ -170,7 +216,7 @@ def counting_function(spectrum: Spectrum, s: float,
     return int(np.searchsorted(spectrum.eigenvalues, thresh, side="left"))
 
 
-def _solve_slice(matrix, fac, lo, hi, count, rng):
+def _solve_slice(matrix, lo, hi, count, rng):
     """Eigenvalues of ``matrix`` in [lo, hi), known to number ``count``."""
     n = matrix.shape[0]
     if n <= 128 or count > n - 3:
@@ -213,13 +259,11 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
     if not a < b:
         raise ValueError("need a < b")
     A = sp.csr_matrix(matrix)
-    n = A.shape[0]
-    fac = LDLTFactorizer(A)
     rng = np.random.default_rng(seed)
     scale = max(abs(a), abs(b), 1.0)
     width_floor = 1e-12 * scale
 
-    c_a, c_b = fac.inertia(a), fac.inertia(b)
+    c_a, c_b = inertia_count(A, a), inertia_count(A, b)
     work = [(a, b, c_a, c_b)]
     found: list[np.ndarray] = []
     spent = 0
@@ -238,121 +282,20 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
             continue
         if count <= max_slice:
             spent += 1
-            got = _solve_slice(A, fac, lo, hi, count, rng)
+            got = _solve_slice(A, lo, hi, count, rng)
             if got is not None:
                 found.append(got)
                 continue
         # bisect
         spent += 1
         mid = 0.5 * (lo + hi)
-        cmid = fac.inertia(mid)
+        cmid = inertia_count(A, mid)
         work.append((lo, mid, clo, cmid))
         work.append((mid, hi, cmid, chi))
 
     ev = np.sort(np.concatenate(found)) if found else np.zeros(0)
     return Spectrum(eigenvalues=ev, method="sliced", complete=complete,
                     interval=(a, b))
-
-
-def _lanczos_tridiag(matvec, n, m, rng, breakdown_tol):
-    """m-step Lanczos with full reorthogonalization.
-
-    Returns (alpha, offdiag, b_last, used): tridiagonal entries, the norm of
-    the residual vector after the last step (0.0 on invariant-subspace
-    breakdown), and the number of steps taken.
-    """
-    Q = np.zeros((m, n))
-    alpha = np.zeros(m)
-    offdiag = np.zeros(m - 1 if m > 1 else 0)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    b_last = 0.0
-    used = 0
-    for j in range(m):
-        Q[j] = q
-        used = j + 1
-        w = matvec(q)
-        alpha[j] = q @ w
-        w = w - alpha[j] * q
-        if j > 0:
-            w = w - offdiag[j - 1] * Q[j - 1]
-        for _ in range(2):
-            w -= Q[:used].T @ (Q[:used] @ w)
-        b = float(np.linalg.norm(w))
-        b_last = b
-        if b < breakdown_tol:
-            b_last = 0.0
-            break
-        if j < m - 1:
-            offdiag[j] = b
-            q = w / b
-    return alpha[:used], offdiag[: used - 1], b_last, used
-
-
-def lanczos_extremal(matrix: sp.spmatrix, k: int, which: str = "smallest",
-                     tol: float = 1e-10, seed: int = 99) -> np.ndarray:
-    """k extremal eigenvalues via Lanczos with full reorthogonalization.
-
-    Restarts with a doubled subspace on stagnation or on a missed
-    multiplicity (detected by an inertia count), then falls back to a dense
-    solve when the matrix order permits.
-    """
-    if which not in ("smallest", "largest"):
-        raise ValueError("which must be 'smallest' or 'largest'")
-    A = sp.csr_matrix(matrix) if sp.issparse(matrix) else sp.csr_matrix(
-        np.asarray(matrix, dtype=np.float64))
-    n = A.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}")
-    if n <= 64 or k >= n - 1:
-        w = np.linalg.eigvalsh(A.toarray())
-        return w[:k] if which == "smallest" else w[::-1][:k].copy()
-    lo_g, hi_g = gershgorin_interval(A)
-    scale = max(abs(lo_g), abs(hi_g), 1.0)
-    rng = np.random.default_rng(seed)
-    fac = None
-    m = min(n, max(2 * k + 20, 40))
-    m_cap = min(n, 1024)
-    while True:
-        alpha, offdiag, b_last, used = _lanczos_tridiag(
-            lambda v: A @ v, n, m, rng, 1e-13 * scale)
-        theta, S = scipy.linalg.eigh_tridiagonal(alpha, offdiag)
-        converged = False
-        if used >= k:
-            if which == "smallest":
-                idx = np.arange(k)
-                vals = theta[:k]
-            else:
-                idx = np.arange(used - 1, used - 1 - k, -1)
-                vals = theta[::-1][:k]
-            res = np.abs(b_last * S[-1, idx])
-            converged = bool(np.all(res <= tol * scale))
-        if converged:
-            # Guard against silently dropped copies of a degenerate
-            # eigenvalue: the strict count at a generic cut just outside the
-            # returned set must equal k.
-            if which == "smallest":
-                gap = theta[k] - theta[k - 1] if used > k else tol * scale * 10
-                sigma = theta[k - 1] + 0.5 * gap
-                expect = k
-            else:
-                gap = theta[used - k] - theta[used - k - 1] if used > k else tol * scale * 10
-                sigma = theta[used - k] - 0.5 * gap
-                expect = n - k
-            if gap <= 10 * tol * scale:
-                return np.sort(vals) if which == "smallest" else np.sort(vals)[::-1]
-            if fac is None:
-                fac = LDLTFactorizer(A)
-            if fac.inertia(sigma) == expect:
-                return np.sort(vals) if which == "smallest" else np.sort(vals)[::-1]
-        if m >= m_cap:
-            if n <= DENSE_CAP:
-                w = np.linalg.eigvalsh(A.toarray())
-                return w[:k] if which == "smallest" else w[::-1][:k].copy()
-            raise ConvergenceError(
-                f"lanczos_extremal stagnated at subspace {m} (k={k}, n={n})"
-            )
-        m = min(m_cap, 2 * m)
 
 
 def _snap_kernel(laplacian_matrix: sp.spmatrix, spectrum: Spectrum) -> None:

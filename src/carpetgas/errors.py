@@ -38,7 +38,7 @@ class PoleError(DomainError):
 
 
 class FactorizationError(CarpetGasError):
-    """Sparse LDL^T factorization broke down after all shift retries."""
+    """Sparse inertia factorization broke down at every shift it tried."""
 
 
 class InsufficientDataError(CarpetGasError):

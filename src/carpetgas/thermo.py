@@ -441,33 +441,15 @@ def blackbody_spectrum(spectrum: Spectrum, beta: float, L: float,
     return float(math.fsum(vals.tolist())) / v_s
 
 
-def interval_theta_trace(tau: float, cutoff: float = 1e-16) -> float:
-    """Dirichlet unit-interval heat trace in Poisson form,
-
-        1/sqrt(4 pi tau) - 1/2 + (1/sqrt(pi tau)) sum_{j>=1} e^(-j^2/tau),
-
-    with the theta sum truncated once terms drop below the cutoff.
-    """
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    acc = 1.0 / math.sqrt(4.0 * math.pi * tau) - 0.5
-    scale = 1.0 / math.sqrt(math.pi * tau)
-    j = 1
-    while True:
-        term = math.exp(-min(j * j / tau, 745.0))
-        if scale * term < cutoff:
-            break
-        acc += scale * term
-        j += 1
-    return acc
-
-
 def waveguide_trace(carpet_model: HeatTraceModel, a: float, b: float,
                     t: float) -> float:
     """Heat trace of carpet(side a) x interval(length b) at time t."""
+    # imported here: oracle loads scipy.signal, about 1 s on first import
+    from .oracle import interval_trace_exact
+
     if a <= 0 or b <= 0 or t <= 0:
         raise DomainError("a, b, t must be positive")
-    return carpet_model.evaluate(t / (a * a)).real * interval_theta_trace(t / (b * b))
+    return carpet_model.evaluate(t / (a * a)).real * interval_trace_exact(t / (b * b))
 
 
 def _waveguide_coefficients(model: HeatTraceModel):

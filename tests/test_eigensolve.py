@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from carpetgas.eigensolve import (
     DENSE_CAP,
@@ -11,15 +12,14 @@ from carpetgas.eigensolve import (
     counting_function,
     dense_eigenvalues,
     gershgorin_interval,
-    lanczos_extremal,
+    inertia_count,
     load_spectrum,
     save_spectrum,
     slice_spectrum,
 )
-from carpetgas.errors import CapExceededError
+from carpetgas.errors import CapExceededError, FactorizationError
 from carpetgas.geometry import preset
 from carpetgas.graph import build_graph, laplacian
-from carpetgas.ldlt import LDLTFactorizer, inertia_count
 
 
 def random_sparse_symmetric(n, seed, shift=0.0, density=0.05):
@@ -103,12 +103,11 @@ class TestDense:
 class TestInertia:
     def test_random_shifts_match_dense_counts(self, sc31_l2_lap):
         w = np.linalg.eigvalsh(sc31_l2_lap.toarray())
-        fac = LDLTFactorizer(sc31_l2_lap)
         rng = np.random.default_rng(7)
         for _ in range(100):
             sigma = rng.uniform(-1.0, w[-1] + 1.0)
             expect = int(np.count_nonzero(w < sigma))
-            assert fac.inertia(sigma) == expect
+            assert inertia_count(sc31_l2_lap, sigma) == expect
 
     def test_one_shot_helper(self, sc31_l2_lap):
         w = np.linalg.eigvalsh(sc31_l2_lap.toarray())
@@ -118,11 +117,34 @@ class TestInertia:
     def test_indefinite_matrix(self):
         m = random_sparse_symmetric(150, seed=3, shift=0.5)
         w = np.linalg.eigvalsh(m.toarray())
-        fac = LDLTFactorizer(m)
         rng = np.random.default_rng(11)
         for _ in range(25):
             sigma = rng.uniform(w[0] - 0.5, w[-1] + 0.5)
-            assert fac.inertia(sigma) == int(np.count_nonzero(w < sigma))
+            assert inertia_count(m, sigma) == int(np.count_nonzero(w < sigma))
+
+    @pytest.mark.parametrize("name", ["SC(3,1)", "MS(3,1)"])
+    def test_integer_shifts_match_dense_strict_counts(self, name):
+        # Integer shifts land on eigenvalues (the Neumann kernel, multiple
+        # eigenvalues) and on Laplacian diagonals; the count stays strict.
+        lap = laplacian(build_graph(preset(name), 2))
+        w = np.linalg.eigvalsh(lap.toarray())
+        for sigma in range(int(np.ceil(w[-1])) + 2):
+            expect = int(np.count_nonzero(w < sigma - 1e-9))
+            assert inertia_count(lap, float(sigma)) == expect, sigma
+
+    def test_off_diagonal_pivot_goes_through_retry(self, sc31_l2_lap):
+        # At sigma = 1 elimination meets an exactly zero pivot, which SuperLU
+        # replaces by an off-diagonal one; that factorization is not used.
+        shifted = sp.csc_matrix(sc31_l2_lap - sp.identity(64))
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
+        w = np.linalg.eigvalsh(sc31_l2_lap.toarray())
+        assert inertia_count(sc31_l2_lap, 1.0) == int(np.count_nonzero(w < 1.0 - 1e-9))
+
+    def test_breakdown_at_every_shift_raises(self):
+        with pytest.raises(FactorizationError):
+            inertia_count(sp.diags([1.0, np.nan, 2.0]), 0.5)
 
 
 class TestSliceSpectrum:
@@ -165,30 +187,6 @@ class TestSliceSpectrum:
     def test_empty_interval_rejected(self, sc31_l3_lap):
         with pytest.raises(ValueError):
             slice_spectrum(sc31_l3_lap, (2.0, 2.0))
-
-
-class TestLanczosExtremal:
-    def test_smallest_match_dense(self, sc31_l3_lap):
-        dense = np.linalg.eigvalsh(sc31_l3_lap.toarray())
-        got = lanczos_extremal(sc31_l3_lap, 5, which="smallest")
-        assert np.max(np.abs(got - dense[:5])) < 1e-8 * dense[-1]
-
-    def test_largest_match_dense(self, sc31_l3_lap):
-        dense = np.linalg.eigvalsh(sc31_l3_lap.toarray())
-        got = lanczos_extremal(sc31_l3_lap, 3, which="largest")
-        assert np.max(np.abs(got - dense[::-1][:3])) < 1e-8 * dense[-1]
-
-    def test_small_matrix_dense_fallback(self):
-        m = random_sparse_symmetric(40, seed=5)
-        dense = np.linalg.eigvalsh(m.toarray())
-        got = lanczos_extremal(m, 4, which="smallest")
-        assert np.allclose(got, dense[:4], atol=1e-12)
-
-    def test_argument_validation(self, sc31_l3_lap):
-        with pytest.raises(ValueError):
-            lanczos_extremal(sc31_l3_lap, 0)
-        with pytest.raises(ValueError):
-            lanczos_extremal(sc31_l3_lap, 2, which="middle")
 
 
 class TestComputeSpectrum:

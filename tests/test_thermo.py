@@ -17,7 +17,6 @@ from carpetgas.oracle import (
     box_trace_exact,
     cube_photon_energy_density,
     euclid_bec_critical,
-    interval_trace_exact,
     sum_of_three_squares_counts,
     unit_box,
 )
@@ -35,7 +34,6 @@ from carpetgas.thermo import (
     critical_densities,
     density_series,
     free_energy_density,
-    interval_theta_trace,
     massive_log_partition,
     max_fugacity,
     particle_density,
@@ -526,10 +524,15 @@ class TestBlackbody:
 
 class TestWaveguide:
     def test_theta_trace_matches_oracle(self):
-        for tau in (0.04, 0.3, 2.0):
-            assert interval_theta_trace(tau) == pytest.approx(
-                interval_trace_exact(tau), rel=1e-13
-            )
+        # unit-square carpet model times a Dirichlet interval of length b:
+        # the interval factor is sum_j e^(-j^2 pi^2 t / b^2), summed directly
+        square = box_model(2, bc="dirichlet")
+        for b, t in ((1.0, 0.04), (2.0, 1.2), (0.5, 0.5)):
+            j = np.arange(1, 200)
+            direct = math.fsum(np.exp(-j * j * math.pi**2 * t / b**2).tolist())
+            got = waveguide_trace(square, 1.0, b, t)
+            want = square.evaluate(t).real * direct
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_product_trace_matches_cube(self):
         t = 0.03
@@ -579,4 +582,4 @@ class TestWaveguide:
         with pytest.raises(DomainError):
             waveguide_trace(flat_model(2.0), 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            interval_theta_trace(-0.5)
+            waveguide_trace(flat_model(2.0), 1.0, -0.5, 1.0)
