@@ -13,11 +13,13 @@ CARPETGAS_CACHE environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,39 +87,22 @@ def _error_exit(exc: BaseException) -> int:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-def _apply_config_file(ns: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file; command-line flags win."""
-    if not getattr(ns, "config", None):
-        return
-    with open(ns.config) as fh:
-        base = json.load(fh)
-    if not isinstance(base, dict):
-        raise CarpetGasError("config file must hold a JSON object")
-    for key, value in base.items():
-        attr = key.replace("-", "_")
-        if hasattr(ns, attr) and getattr(ns, attr) is None:
-            setattr(ns, attr, value)
+# shared stage plumbing
 
 
 def _resolve_spec(ns: argparse.Namespace) -> CarpetSpec:
-    preset = getattr(ns, "preset", None)
-    path = getattr(ns, "spec", None)
-    if preset and path:
+    if ns.preset and ns.spec:
         raise CarpetGasError("give either --preset or --spec, not both")
-    if preset:
-        return geometry.preset(preset)
-    if path:
-        return geometry.load_spec(path)
+    if ns.preset:
+        return geometry.preset(ns.preset)
+    if ns.spec:
+        return geometry.load_spec(ns.spec)
     raise CarpetGasError("a carpet is required: pass --preset or --spec")
 
 
 def _out_dir(ns: argparse.Namespace) -> str:
-    out = getattr(ns, "out", None) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(ns.out, exist_ok=True)
+    return ns.out
 
 
 def _cache_dir(ns: argparse.Namespace) -> str:
@@ -127,29 +112,22 @@ def _cache_dir(ns: argparse.Namespace) -> str:
 
 
 def _level(ns: argparse.Namespace) -> int:
-    if getattr(ns, "level", None) is None:
+    if ns.level is None:
         raise CarpetGasError("this stage needs --level")
-    return int(ns.level)
-
-
-# ---------------------------------------------------------------------------
-# cached stage plumbing
+    return ns.level
 
 
 def _spectrum_for(ns, spec: CarpetSpec):
     """Load the level spectrum from the cache, computing it on a miss."""
     level = _level(ns)
-    bc = getattr(ns, "bc", None) or "neumann"
-    method = getattr(ns, "method", None) or "auto"
-    cap = int(getattr(ns, "cap", None) or eigensolve.DENSE_CAP)
-    budget = int(getattr(ns, "budget", None) or 400)
-    key = _key("spectrum", spec.spec_hash(), level, bc, method, cap, budget)
+    key = _key("spectrum", spec.spec_hash(), level, ns.bc, ns.method, ns.cap,
+               ns.budget)
     path = os.path.join(_cache_dir(ns), f"spectrum-{key}.json")
     if os.path.exists(path):
         return eigensolve.load_spectrum(path), path, True
-    g = build_graph(spec, level, getattr(ns, "adjacency", None) or "face")
-    spectrum = eigensolve.compute_spectrum(g, bc=bc, method=method, cap=cap,
-                                           budget=budget)
+    spectrum = eigensolve.compute_spectrum(build_graph(spec, level), bc=ns.bc,
+                                           method=ns.method, cap=ns.cap,
+                                           budget=ns.budget)
     eigensolve.save_spectrum(spectrum, path)
     return spectrum, path, False
 
@@ -157,37 +135,36 @@ def _spectrum_for(ns, spec: CarpetSpec):
 def _analysis_for(ns, spec: CarpetSpec):
     """Trace analysis with the fitted model cached alongside the spectrum."""
     spectrum, spath, s_cached = _spectrum_for(ns, spec)
-    p_max = int(getattr(ns, "p_max", None) or trace.P_MAX_DEFAULT)
     key = _key("trace", spec.spec_hash(), _level(ns), spectrum.bc,
-               spectrum.n, p_max)
+               spectrum.n, ns.p_max)
     mpath = os.path.join(_cache_dir(ns), f"model-{key}.json")
-    result = trace.analyze(spectrum, spec=spec, p_max=p_max)
+    result = trace.analyze(spectrum, spec=spec, p_max=ns.p_max)
     trace.save_model(result["model"], mpath)
     result.update(spectrum=spectrum, spectrum_path=spath,
                   spectrum_cached=s_cached, model_path=mpath, key=key)
     return result
 
 
-def _model_for_thermo(ns):
-    """Heat-trace model from --euclid, a flat --ds value, or a carpet chain."""
-    euclid = getattr(ns, "euclid", None)
-    ds_flat = getattr(ns, "ds", None)
-    if euclid is not None:
-        if euclid not in _EUCLID_DIMS:
-            raise CarpetGasError(f"unknown euclid geometry {euclid!r}")
-        bc = getattr(ns, "bc", None) or "dirichlet"
-        dim = _EUCLID_DIMS[euclid]
-        return oracle.box_model(dim, bc), f"euclid-{euclid}-{bc}"
-    if ds_flat is not None:
-        ds = float(ds_flat)
-        coef = (4.0 * math.pi) ** (-ds / 2.0)
+def _source(ns):
+    """Heat-trace source: an exact --euclid box, a flat --ds law, or a carpet.
+
+    Returns (model, tail, tag).  The tail is the box's exact trace, None for
+    a flat law, or the carpet's spectrum.  A box is Dirichlet unless --bc is
+    given.
+    """
+    if ns.euclid is not None:
+        bc = ns.bc if "bc" in ns.given else "dirichlet"
+        dim = _EUCLID_DIMS[ns.euclid]
+        exact = functools.partial(oracle.box_trace_exact, oracle.unit_box(dim, bc))
+        return oracle.box_model(dim, bc), exact, f"euclid-{ns.euclid}-{bc}"
+    if ns.ds is not None:
+        coef = (4.0 * math.pi) ** (-ns.ds / 2.0)
         model = trace.HeatTraceModel(
-            terms=[trace.ModelTerm(0, 0, complex(ds / 2.0), complex(coef))],
-            period=1.0, d_s=ds)
-        return model, f"flat-ds-{_f(ds)}"
-    spec = _resolve_spec(ns)
-    result = _analysis_for(ns, spec)
-    return result["model"], f"carpet-{result['key']}"
+            terms=[trace.ModelTerm(0, 0, complex(ns.ds / 2.0), complex(coef))],
+            period=1.0, d_s=ns.ds)
+        return model, None, f"flat-ds-{_f(ns.ds)}"
+    result = _analysis_for(ns, _resolve_spec(ns))
+    return result["model"], result["spectrum"], f"carpet-{result['key']}"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +193,7 @@ def cmd_carpet_validate(ns) -> int:
 
 
 def cmd_carpet_info(ns) -> int:
-    if getattr(ns, "preset", None) is None and getattr(ns, "spec", None) is None:
+    if ns.preset is None and ns.spec is None:
         rows = []
         for name in geometry.preset_names():
             spec = geometry.preset(name)
@@ -252,8 +229,7 @@ def cmd_carpet_info(ns) -> int:
 def cmd_graph_build(ns) -> int:
     spec = _resolve_spec(ns)
     level = _level(ns)
-    adjacency = getattr(ns, "adjacency", None) or "face"
-    key = _key("graph", spec.spec_hash(), level, adjacency)
+    key = _key("graph", spec.spec_hash(), level, ns.adjacency)
     out = _out_dir(ns)
     edges_path = os.path.join(out, f"graph-{key}.edges")
     meta_path = os.path.join(out, f"graph-{key}.json")
@@ -262,7 +238,7 @@ def cmd_graph_build(ns) -> int:
         with open(meta_path) as fh:
             meta = json.load(fh)
     else:
-        g = build_graph(spec, level, adjacency)
+        g = build_graph(spec, level, ns.adjacency)
         export_graph(g, edges_path + ".tmp", meta_path + ".tmp")
         os.replace(edges_path + ".tmp", edges_path)
         os.replace(meta_path + ".tmp", meta_path)
@@ -380,39 +356,25 @@ def cmd_trace_analyze(ns) -> int:
 
 
 def _extension_for(ns):
-    """Build the continuation from --euclid (exact tail) or a carpet chain."""
-    gamma = float(getattr(ns, "gamma", None) or 0.0)
-    n_max = int(getattr(ns, "nmax", None) or zeta.N_MAX_DEFAULT)
-    euclid = getattr(ns, "euclid", None)
-    if euclid is not None:
-        if euclid not in _EUCLID_DIMS:
-            raise CarpetGasError(f"unknown euclid geometry {euclid!r}")
-        bc = getattr(ns, "bc", None) or "dirichlet"
-        dim = _EUCLID_DIMS[euclid]
-        box = oracle.unit_box(dim, bc)
-        model = oracle.box_model(dim, bc)
-        t1 = float(getattr(ns, "t1", None) or 1.0)
+    """Zeta continuation of an exact --euclid box or a carpet chain.
 
-        def exact_trace(t, _box=box):
-            return oracle.box_trace_exact(_box, t)
-
-        ext = zeta.build_extension(model, gamma=gamma, tail=exact_trace, t1=t1,
-                                   n_max=n_max)
-        return ext, f"euclid-{euclid}-{bc}-g{_f(gamma)}-t{_f(t1)}"
-    spec = _resolve_spec(ns)
-    result = _analysis_for(ns, spec)
-    spectrum = result["spectrum"]
-    if gamma == 0.0 and spectrum.num_zero_modes:
-        gamma = 1.0  # Neumann zero mode needs a positive shift
-    t1 = float(getattr(ns, "t1", None)
-               or min(1.0, 35.0 / (spectrum.lambda_max + gamma)))
-    ext = zeta.build_extension(result["model"], gamma=gamma, tail=spectrum,
-                               t1=t1, n_max=n_max)
-    return ext, f"carpet-{result['key']}-g{_f(gamma)}-t{_f(t1)}"
+    On a carpet, gamma is 1 when the spectrum has a zero mode and t1 is
+    min(1, 35 / (lambda_max + gamma)), each unless given.
+    """
+    model, tail, tag = _source(ns)
+    gamma, t1 = ns.gamma, ns.t1
+    if isinstance(tail, eigensolve.Spectrum):
+        if "gamma" not in ns.given and tail.num_zero_modes:
+            gamma = 1.0  # Neumann zero mode needs a positive shift
+        if "t1" not in ns.given:
+            t1 = min(1.0, 35.0 / (tail.lambda_max + gamma))
+    ext = zeta.build_extension(model, gamma=gamma, tail=tail, t1=t1,
+                               n_max=ns.nmax)
+    return ext, f"{tag}-g{_f(gamma)}-t{_f(t1)}"
 
 
 def cmd_zeta_eval(ns) -> int:
-    if getattr(ns, "s", None) is None:
+    if ns.s is None:
         raise CarpetGasError("zeta eval needs --s (complex, e.g. '-0.5' or '1+2j')")
     s = complex(ns.s)
     ext, tag = _extension_for(ns)
@@ -451,9 +413,8 @@ def cmd_zeta_poles(ns) -> int:
 
 
 def cmd_zeta_casimir(ns) -> int:
-    if getattr(ns, "gamma", None):
+    if ns.gamma != 0.0:
         raise CarpetGasError("casimir energy is defined at gamma = 0")
-    ns.gamma = 0.0
     ext, tag = _extension_for(ns)
     energy = zeta.casimir_energy(ext)
     _emit({
@@ -471,11 +432,10 @@ def cmd_zeta_casimir(ns) -> int:
 
 def cmd_thermo_bec(ns) -> int:
     spec = _resolve_spec(ns)
-    beta = float(getattr(ns, "beta", None) or 1.0)
     fitted = None
     model = None
     chain = {}
-    if getattr(ns, "level", None) is not None:
+    if ns.level is not None:
         result = _analysis_for(ns, spec)
         fitted = model = result["model"]
         chain = {"spectrum_cached": result["spectrum_cached"],
@@ -491,8 +451,8 @@ def cmd_thermo_bec(ns) -> int:
     }
     payload.update(chain)
     if model is not None:
-        hi, lo = thermo.critical_densities(model, beta)
-        payload["beta"] = beta
+        hi, lo = thermo.critical_densities(model, ns.beta)
+        payload["beta"] = ns.beta
         payload["critical_density_upper"] = hi
         payload["critical_density_lower"] = lo
     path = os.path.join(_out_dir(ns), f"bec-{spec.spec_hash()}.json")
@@ -503,15 +463,13 @@ def cmd_thermo_bec(ns) -> int:
 
 
 def cmd_thermo_blackbody(ns) -> int:
-    model, tag = _model_for_thermo(ns)
-    beta = float(getattr(ns, "beta", None) or 1.0)
-    L = float(getattr(ns, "length", None) or 1.0)
-    energy, pressure = thermo.blackbody(model, beta, L)
+    model, _tail, tag = _source(ns)
+    energy, pressure = thermo.blackbody(model, ns.beta, ns.length)
     _emit({
         "stage": "thermo-blackbody",
         "source": tag,
-        "beta": beta,
-        "L": L,
+        "beta": ns.beta,
+        "L": ns.length,
         "d_s": model.d_s,
         "energy_density": energy,
         "pressure": pressure,
@@ -520,15 +478,13 @@ def cmd_thermo_blackbody(ns) -> int:
 
 
 def cmd_thermo_casimir(ns) -> int:
-    model, tag = _model_for_thermo(ns)
-    a = float(getattr(ns, "a", None) or 20.0)
-    b = float(getattr(ns, "b", None) or 1.0)
-    energy, pressure = thermo.casimir_waveguide_zero_T(model, a, b)
+    model, _tail, tag = _source(ns)
+    energy, pressure = thermo.casimir_waveguide_zero_T(model, ns.a, ns.b)
     payload = {
         "stage": "thermo-casimir",
         "source": tag,
-        "a": a,
-        "b": b,
+        "a": ns.a,
+        "b": ns.b,
         "energy": energy,
         "pressure_scalar": pressure,
         "pressure_em": 2.0 * pressure,
@@ -537,10 +493,10 @@ def cmd_thermo_casimir(ns) -> int:
                  "pressure by 2 (square cross-section continuum limit: "
                  "-pi^2/480 b^4 scalar, -pi^2/240 b^4 EM)"),
     }
-    if getattr(ns, "beta", None) is not None:
-        payload["beta"] = float(ns.beta)
+    if "beta" in ns.given:
+        payload["beta"] = ns.beta
         payload["pressure_thermal"] = thermo.casimir_waveguide_thermal(
-            model, a, b, float(ns.beta))
+            model, ns.a, ns.b, ns.beta)
     _emit(payload)
     return 0
 
@@ -554,30 +510,24 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_thermo_sweep(ns) -> int:
-    quantity = getattr(ns, "quantity", None) or "density"
-    model, tag = _model_for_thermo(ns)
-    out = _out_dir(ns)
-    if quantity == "density":
-        beta = float(getattr(ns, "beta", None) or 1.0)
-        grid = _parse_grid(getattr(ns, "grid", None) or "0.05:0.95:19")
+    model, _tail, tag = _source(ns)
+    grid = _parse_grid(SWEEP_GRIDS[ns.quantity] if ns.grid is None else ns.grid)
+    if ns.quantity == "density":
         lines = ["z,density"]
         for z in grid:
-            state = thermo.GasState(beta=beta, z=float(z))
+            state = thermo.GasState(beta=ns.beta, z=float(z))
             rho = thermo.particle_density(state, model)
             lines.append(f"{_f(z)},{_f(rho)}")
-        key = _key("sweep-density", tag, _f(beta), getattr(ns, "grid", ""))
-    elif quantity == "blackbody":
-        grid = _parse_grid(getattr(ns, "grid", None) or "0.05:0.5:10")
+        key = _key("sweep-density", tag, _f(ns.beta), ns.grid)
+    else:
         lines = ["beta,energy_density,pressure"]
         for beta in grid:
             energy, pressure = thermo.blackbody(model, float(beta))
             lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)}")
-        key = _key("sweep-blackbody", tag, getattr(ns, "grid", ""))
-    else:
-        raise CarpetGasError(f"unknown sweep quantity {quantity!r}")
-    path = os.path.join(out, f"sweep-{quantity}-{key}.csv")
+        key = _key("sweep-blackbody", tag, ns.grid)
+    path = os.path.join(_out_dir(ns), f"sweep-{ns.quantity}-{key}.csv")
     _write_atomic(path, "\n".join(lines) + "\n")
-    _emit({"stage": "thermo-sweep", "quantity": quantity, "source": tag,
+    _emit({"stage": "thermo-sweep", "quantity": ns.quantity, "source": tag,
            "rows": len(lines) - 1, "artifact": path})
     return 0
 
@@ -652,17 +602,95 @@ def cmd_oracle_selftest(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# options: declared once, resolved once
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="carpet preset name, e.g. SC(3,1)")
-    p.add_argument("--spec", help="path to a carpet description file")
-    p.add_argument("--level", type=int, help="approximation level n")
-    p.add_argument("--bc", choices=["neumann", "dirichlet"],
-                   help="boundary condition")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--config", help="JSON file with default option values")
+@dataclass(frozen=True)
+class Option:
+    """A command-line option, flag ``--name`` with ``_`` as ``-``.  ``type``
+    and ``choices`` check its text from the command line and the config file
+    alike; ``default`` applies when neither sets it.
+    """
+
+    help: str
+    default: object = None
+    type: type | None = None
+    choices: tuple | None = None
+
+
+# lo:hi:n grid of each sweep quantity when --grid is not given
+SWEEP_GRIDS = {"density": "0.05:0.95:19", "blackbody": "0.05:0.5:10"}
+
+OPTIONS = {
+    "preset": Option("carpet preset name, e.g. SC(3,1)"),
+    "spec": Option("path to a carpet description file"),
+    "level": Option("approximation level n", type=int),
+    "bc": Option("boundary condition; a --euclid box is dirichlet unless given",
+                 "neumann", choices=("neumann", "dirichlet")),
+    "out": Option("output directory", "."),
+    "config": Option("JSON file with default option values; flags win"),
+    "adjacency": Option("cell adjacency of the level graph", "face",
+                        choices=("face", "vertex")),
+    "method": Option("eigensolver", "auto", choices=("auto", "dense", "sliced")),
+    "cap": Option("dense-solver size cap", eigensolve.DENSE_CAP, type=int),
+    "budget": Option("sliced-solver slice budget", 400, type=int),
+    "p_max": Option("highest Fourier index extracted", trace.P_MAX_DEFAULT,
+                    type=int),
+    "euclid": Option("use an exact Euclidean box instead of a carpet",
+                     choices=tuple(sorted(_EUCLID_DIMS))),
+    "ds": Option("flat model with this spectral dimension", type=float),
+    "gamma": Option("spectral shift; a carpet with a zero mode takes 1 unless "
+                    "given", 0.0, type=float),
+    "t1": Option("Mellin split point; a carpet takes min(1, 35/(lambda_max + "
+                 "gamma)) unless given", 1.0, type=float),
+    "nmax": Option("expansion depth per tower", zeta.N_MAX_DEFAULT, type=int),
+    "s": Option("evaluation point, complex literal"),
+    "beta": Option("inverse temperature; thermo casimir adds the thermal "
+                   "pressure only when given", 1.0, type=float),
+    "length": Option("box side L", 1.0, type=float),
+    "a": Option("cross-section side", 20.0, type=float),
+    "b": Option("plate separation", 1.0, type=float),
+    "quantity": Option("swept observable", "density", choices=tuple(SWEEP_GRIDS)),
+    "grid": Option("lo:hi:n sweep grid; by quantity, default "
+                   + ", ".join(f"{g} for {q}" for q, g in SWEEP_GRIDS.items())),
+}
+
+COMMON = ("preset", "spec", "level", "bc", "out", "config")
+SOLVER = ("method", "cap", "budget")
+CHAIN = SOLVER + ("p_max",)
+ZETA = ("euclid",) + CHAIN + ("gamma", "t1", "nmax")
+THERMO = ("euclid", "ds") + CHAIN + ("beta",)
+
+STAGE_HELP = {
+    "carpet": "validate or describe a carpet",
+    "graph": "build level graphs",
+    "spectrum": "compute level spectra",
+    "trace": "heat-trace analysis",
+    "zeta": "spectral zeta continuation",
+    "thermo": "quantum-gas thermodynamics",
+    "oracle": "exact Euclidean cross-checks",
+}
+
+# (stage, action, handler, options besides COMMON)
+STAGES = (
+    ("carpet", "validate", cmd_carpet_validate, ()),
+    ("carpet", "info", cmd_carpet_info, ()),
+    ("graph", "build", cmd_graph_build, ("adjacency",)),
+    ("spectrum", "compute", cmd_spectrum_compute, SOLVER),
+    ("trace", "analyze", cmd_trace_analyze, CHAIN),
+    ("zeta", "eval", cmd_zeta_eval, ZETA + ("s",)),
+    ("zeta", "poles", cmd_zeta_poles, ZETA),
+    ("zeta", "casimir", cmd_zeta_casimir, ZETA),
+    ("thermo", "bec", cmd_thermo_bec, CHAIN + ("beta",)),
+    ("thermo", "blackbody", cmd_thermo_blackbody, THERMO + ("length",)),
+    ("thermo", "casimir", cmd_thermo_casimir, THERMO + ("a", "b")),
+    ("thermo", "sweep", cmd_thermo_sweep, THERMO + ("quantity", "grid")),
+    ("oracle", "selftest", cmd_oracle_selftest, ()),
+)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,114 +698,70 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carpetgas",
         description="Carpet spectra and quantum-gas thermodynamics pipeline")
     stages = parser.add_subparsers(dest="stage", required=True)
-
-    carpet = stages.add_parser("carpet", help="validate or describe a carpet")
-    carpet_actions = carpet.add_subparsers(dest="action", required=True)
-    for action, fn in (("validate", cmd_carpet_validate),
-                       ("info", cmd_carpet_info)):
-        sub = carpet_actions.add_parser(action)
-        _add_common(sub)
-        sub.set_defaults(func=fn)
-
-    graph_p = stages.add_parser("graph", help="build level graphs")
-    graph_actions = graph_p.add_subparsers(dest="action", required=True)
-    sub = graph_actions.add_parser("build")
-    _add_common(sub)
-    sub.add_argument("--adjacency", choices=["face", "vertex"])
-    sub.set_defaults(func=cmd_graph_build)
-
-    spectrum_p = stages.add_parser("spectrum", help="compute level spectra")
-    spectrum_actions = spectrum_p.add_subparsers(dest="action", required=True)
-    sub = spectrum_actions.add_parser("compute")
-    _add_common(sub)
-    sub.add_argument("--method", choices=["auto", "dense", "sliced"])
-    sub.add_argument("--cap", type=int, help="dense-solver size cap")
-    sub.add_argument("--budget", type=int, help="sliced-solver slice budget")
-    sub.set_defaults(func=cmd_spectrum_compute)
-
-    trace_p = stages.add_parser("trace", help="heat-trace analysis")
-    trace_actions = trace_p.add_subparsers(dest="action", required=True)
-    sub = trace_actions.add_parser("analyze")
-    _add_common(sub)
-    sub.add_argument("--method", choices=["auto", "dense", "sliced"])
-    sub.add_argument("--cap", type=int)
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--p-max", type=int, dest="p_max",
-                     help="highest Fourier index extracted")
-    sub.set_defaults(func=cmd_trace_analyze)
-
-    zeta_p = stages.add_parser("zeta", help="spectral zeta continuation")
-    zeta_actions = zeta_p.add_subparsers(dest="action", required=True)
-    for action, fn in (("eval", cmd_zeta_eval), ("poles", cmd_zeta_poles),
-                       ("casimir", cmd_zeta_casimir)):
-        sub = zeta_actions.add_parser(action)
-        _add_common(sub)
-        sub.add_argument("--euclid", choices=sorted(_EUCLID_DIMS),
-                         help="use an exact Euclidean box instead of a carpet")
-        sub.add_argument("--method", choices=["auto", "dense", "sliced"])
-        sub.add_argument("--cap", type=int)
-        sub.add_argument("--budget", type=int)
-        sub.add_argument("--p-max", type=int, dest="p_max")
-        sub.add_argument("--gamma", type=float, help="spectral shift")
-        sub.add_argument("--t1", type=float, help="Mellin split point")
-        sub.add_argument("--nmax", type=int, help="expansion depth per tower")
-        if action == "eval":
-            sub.add_argument("--s", help="evaluation point, complex literal")
-        sub.set_defaults(func=fn)
-
-    thermo_p = stages.add_parser("thermo", help="quantum-gas thermodynamics")
-    thermo_actions = thermo_p.add_subparsers(dest="action", required=True)
-
-    sub = thermo_actions.add_parser("bec")
-    _add_common(sub)
-    sub.add_argument("--method", choices=["auto", "dense", "sliced"])
-    sub.add_argument("--cap", type=int)
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--p-max", type=int, dest="p_max")
-    sub.add_argument("--beta", type=float, help="inverse temperature")
-    sub.set_defaults(func=cmd_thermo_bec)
-
-    for action, fn in (("blackbody", cmd_thermo_blackbody),
-                       ("casimir", cmd_thermo_casimir),
-                       ("sweep", cmd_thermo_sweep)):
-        sub = thermo_actions.add_parser(action)
-        _add_common(sub)
-        sub.add_argument("--euclid", choices=sorted(_EUCLID_DIMS))
-        sub.add_argument("--ds", type=float,
-                         help="flat model with this spectral dimension")
-        sub.add_argument("--method", choices=["auto", "dense", "sliced"])
-        sub.add_argument("--cap", type=int)
-        sub.add_argument("--budget", type=int)
-        sub.add_argument("--p-max", type=int, dest="p_max")
-        sub.add_argument("--beta", type=float)
-        if action == "blackbody":
-            sub.add_argument("--length", type=float, help="box side L")
-        if action == "casimir":
-            sub.add_argument("--a", type=float, help="cross-section side")
-            sub.add_argument("--b", type=float, help="plate separation")
-        if action == "sweep":
-            sub.add_argument("--quantity", choices=["density", "blackbody"])
-            sub.add_argument("--grid", help="lo:hi:n sweep grid")
-        sub.set_defaults(func=fn)
-
-    oracle_p = stages.add_parser("oracle", help="exact Euclidean cross-checks")
-    oracle_actions = oracle_p.add_subparsers(dest="action", required=True)
-    sub = oracle_actions.add_parser("selftest")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_oracle_selftest)
-
+    actions = {}
+    for stage, action, handler, extra in STAGES:
+        if stage not in actions:
+            actions[stage] = stages.add_parser(
+                stage, help=STAGE_HELP[stage]).add_subparsers(dest="action",
+                                                              required=True)
+        sub = actions[stage].add_parser(action)
+        names = COMMON + extra
+        for name in names:
+            opt = OPTIONS[name]
+            text = opt.help if opt.default is None else \
+                f"{opt.help} (default {opt.default})"
+            sub.add_argument(_flag(name), type=opt.type, choices=opt.choices,
+                             help=text)
+        sub.set_defaults(func=handler, options=names)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+def _config_value(name: str, value):
+    """A config-file value put through the type and choices checks of its flag."""
+    opt = OPTIONS[name]
+    convert = opt.type or str
     try:
-        _apply_config_file(ns)
+        value = convert(str(value))
+    except ValueError as exc:
+        raise CarpetGasError(f"config {_flag(name)}: invalid "
+                             f"{convert.__name__} value {value!r}") from exc
+    if opt.choices is not None and value not in opt.choices:
+        raise CarpetGasError(f"config {_flag(name)}: invalid choice {value!r} "
+                             f"(choose from {', '.join(opt.choices)})")
+    return value
+
+
+def _resolve_options(ns: argparse.Namespace) -> None:
+    """Set every option once: the flag, else the --config value, else the
+    table default.  Options the stage does not take are None; ``ns.given``
+    names those set by a flag or the config file.
+    """
+    config = {}
+    if ns.config is not None:
+        with open(ns.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise CarpetGasError("config file must hold a JSON object")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
+    given = {}
+    for name in ns.options:
+        value = getattr(ns, name)
+        if value is None and config.get(name) is not None:
+            value = _config_value(name, config[name])
+        if value is not None:
+            given[name] = value
+    for name, opt in OPTIONS.items():
+        default = opt.default if name in ns.options else None
+        setattr(ns, name, given.get(name, default))
+    ns.given = frozenset(given)
+
+
+def main(argv=None) -> int:
+    ns = build_parser().parse_args(argv)
+    try:
+        _resolve_options(ns)
         return ns.func(ns)
-    except CarpetGasError as exc:
-        return _error_exit(exc)
-    except (OSError, ValueError, LookupError) as exc:
+    except (CarpetGasError, OSError, ValueError, LookupError) as exc:
         return _error_exit(exc)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ INERTIA_STEPS = (0.0, 1e-9, 1e-6, 1e-3)
 
 @dataclass
 class Spectrum:
-    """Sorted eigenvalues plus the provenance needed to cache and rescale."""
+    """Sorted eigenvalues plus the provenance needed to cache them."""
 
     eigenvalues: np.ndarray
     bc: str = "neumann"
@@ -75,10 +75,6 @@ class Spectrum:
     @property
     def num_zero_modes(self) -> int:
         return int(np.count_nonzero(self.eigenvalues <= self.zero_tol))
-
-    def rescaled(self, factor: float) -> "Spectrum":
-        """Spectrum with every eigenvalue multiplied by ``factor``."""
-        return replace(self, eigenvalues=self.eigenvalues * factor)
 
 
 def gershgorin_interval(matrix: sp.spmatrix) -> tuple[float, float]:
@@ -182,8 +178,7 @@ def _inertia_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
         raise ConvergenceError("no spectral gap wide enough for inertia check")
 
 
-def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP,
-                      verify: bool = True) -> Spectrum:
+def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
     """All eigenvalues of a symmetric matrix, verified, as a Spectrum.
 
     Orders above ``cap`` are refused (cubic cost); use slice_spectrum.
@@ -195,15 +190,14 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP,
         raise CapExceededError(f"order {n} exceeds dense cap {cap}")
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
     w = np.linalg.eigvalsh(dense)
-    if verify:
-        tr = float(np.trace(dense))
-        s = float(np.sum(w))
-        if abs(s - tr) > RESIDUAL_RTOL * max(abs(tr), 1.0):
-            raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
-        if n <= 2000:
-            _residual_spot_check(dense, w)
-        elif n > 2:
-            _inertia_spot_check(matrix if sp.issparse(matrix) else sp.csr_matrix(dense), w)
+    tr = float(np.trace(dense))
+    s = float(np.sum(w))
+    if abs(s - tr) > RESIDUAL_RTOL * max(abs(tr), 1.0):
+        raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
+    if n <= 2000:
+        _residual_spot_check(dense, w)
+    elif n > 2:
+        _inertia_spot_check(matrix if sp.issparse(matrix) else sp.csr_matrix(dense), w)
     return Spectrum(eigenvalues=w, method="dense")
 
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import CapExceededError, ConvergenceError, DIVERGED, DomainError
 from .eigensolve import Spectrum
@@ -158,8 +157,9 @@ def euclid_blackbody(dimension: int, beta: float) -> float:
 def sum_of_three_squares_counts(jmax: int) -> np.ndarray:
     """counts[j] = #{(n1,n2,n3), n_i >= 1, n1^2+n2^2+n3^2 = j} for j <= jmax.
 
-    Computed by convolving the squared-index indicator with itself twice
-    (FFT); the float result is rounded and certified to be integer-exact.
+    Cubes the real FFT of the indicator a[n^2] = 1 (n >= 1).  The transform
+    is longer than 3 jmax, so no wrapped term lands at or below jmax.  The
+    float result is rounded and certified to be integer-exact.
     """
     if jmax < 3:
         return np.zeros(max(jmax + 1, 0), dtype=np.int64)
@@ -168,8 +168,8 @@ def sum_of_three_squares_counts(jmax: int) -> np.ndarray:
     nmax = int(math.isqrt(jmax))
     a = np.zeros(jmax + 1)
     a[np.arange(1, nmax + 1) ** 2] = 1.0
-    c2 = fftconvolve(a, a)[: jmax + 1]
-    c3 = fftconvolve(c2, a)[: jmax + 1]
+    size = 1 << (3 * jmax).bit_length()
+    c3 = np.fft.irfft(np.fft.rfft(a, size) ** 3, size)[: jmax + 1]
     rounded = np.rint(c3)
     if np.max(np.abs(c3 - rounded)) > 0.25:
         raise ConvergenceError("FFT convolution drifted off integers")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DIVERGED, DomainError
 from .eigensolve import Spectrum
+from .oracle import interval_trace_exact
 from .specfun import gamma as cgamma
 from .specfun import polylog_complex, riemann_zeta
 from .trace import HeatTraceModel, g0_extrema, spectral_volume
@@ -53,15 +54,6 @@ class GasState:
     @property
     def mu(self) -> float:
         return math.log(self.z) / self.beta
-
-
-@dataclass
-class ThermoReport:
-    """Observable values plus the formula path that produced them."""
-
-    values: dict
-    path: str
-    notes: tuple = ()
 
 
 def max_fugacity(spectrum: Spectrum, state: GasState) -> float:
@@ -444,9 +436,6 @@ def blackbody_spectrum(spectrum: Spectrum, beta: float, L: float,
 def waveguide_trace(carpet_model: HeatTraceModel, a: float, b: float,
                     t: float) -> float:
     """Heat trace of carpet(side a) x interval(length b) at time t."""
-    # imported here: oracle loads scipy.signal, about 1 s on first import
-    from .oracle import interval_trace_exact
-
     if a <= 0 or b <= 0 or t <= 0:
         raise DomainError("a, b, t must be positive")
     return carpet_model.evaluate(t / (a * a)).real * interval_trace_exact(t / (b * b))
@@ -518,7 +507,7 @@ def casimir_waveguide_thermal(carpet_model: HeatTraceModel, a: float, b: float,
             UserWarning,
             stacklevel=2,
         )
-    d_so, _ = _waveguide_coefficients(carpet_model)
+    d_so = carpet_model.d_s + 1.0
     x = -math.log(beta / (2.0 * a))
     acc = 0.0 + 0.0j
     for term in _volume_terms(carpet_model):

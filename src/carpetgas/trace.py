@@ -383,13 +383,12 @@ def g0_extrema(model: HeatTraceModel, samples: int = 10000) -> tuple[float, floa
 
 
 def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT,
-            rescale: float | None = None, points: int = 900) -> dict:
+            points: int = 900) -> dict:
     """Windows -> trace -> d_s fit -> period -> Fourier model, bundled."""
-    work = spectrum if rescale is None else spectrum.rescaled(rescale)
-    windows = default_windows(work)
+    windows = default_windows(spectrum)
     t_lo = min(windows["fit"][0], windows["fourier"][0])
     t_hi = max(windows["fit"][1], windows["fourier"][1])
-    series = heat_trace(work, log_grid(t_lo, t_hi, points))
+    series = heat_trace(spectrum, log_grid(t_lo, t_hi, points))
     d_s, stderr = fit_spectral_dimension(series, windows["fit"])
     series.d_s = d_s
     series.window = windows["fit"]
@@ -400,7 +399,7 @@ def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT,
     else:
         # counting-function domain: the log-periodic factor survives there,
         # while the heat trace suppresses it by a fast-decaying Gamma factor
-        period, _ = dominant_log_period(*counting_ratio(work, d_s))
+        period, _ = dominant_log_period(*counting_ratio(spectrum, d_s))
         d_w = None
     model = extract_fourier(series, d_s, period, p_max=p_max,
                             window=windows["fourier"], d_w=d_w)

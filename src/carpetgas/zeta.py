@@ -284,7 +284,6 @@ def _build_poles(model: HeatTraceModel, gamma: complex, n_max: int) -> list[Pole
 
 def build_extension(model: HeatTraceModel, gamma: complex, tail,
                     t1: float = 1.0, n_max: int = N_MAX_DEFAULT,
-                    remainder_fn=None,
                     allow_truncated_tail: bool = False) -> ZetaExtension:
     """Assemble the continuation from a model plus a t >= t1 representation.
 
@@ -294,9 +293,6 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     continued -- a hard truncation of the t >= t1 integral -- and must be
     opted into with ``allow_truncated_tail`` (synthetic-model work); the pole
     structure is unaffected by the choice.
-
-    ``remainder_fn`` optionally supplies K(t) - model(t) in a
-    cancellation-free form for the (0, t1] integral.
     """
     if t1 <= 0:
         raise DomainError("split point t1 must be positive")
@@ -339,17 +335,15 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     if not callable(tail):
         raise DomainError(f"unsupported tail representation {type(tail)!r}")
     # exact-trace route: remainder integral on (0, t1], trace integral beyond
-    supplied = remainder_fn is not None
-    if remainder_fn is None:
-        def remainder_fn(t, _tail=tail, _model=model):
-            k = _tail(t)
-            m = _model.evaluate(t).real
-            r = k - m
-            # below the rounding floor of the subtraction the remainder is
-            # not representable; treat it as zero
-            if abs(r) < 1e3 * 2.2e-16 * abs(m):
-                return 0.0
-            return r
+    def remainder_fn(t, _tail=tail, _model=model):
+        k = _tail(t)
+        m = _model.evaluate(t).real
+        r = k - m
+        # below the rounding floor of the subtraction the remainder is
+        # not representable; treat it as zero
+        if abs(r) < 1e3 * 2.2e-16 * abs(m):
+            return 0.0
+        return r
 
     # confirm the weighted trace decays, scanning outward from t1; a constant
     # Neumann mode with gamma = 0 never drops and is rejected
@@ -384,8 +378,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     ext._i3 = _CachedPanels(tail_fn, i3_panels)
     ext.tail_mode = "exact"
     ext.entire_part = (
-        f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}, "
-        f"remainder {'supplied' if supplied else 'subtracted'}"
+        f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}"
     )
     return ext
 

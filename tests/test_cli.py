@@ -1,5 +1,6 @@
 """Pipeline driver: stages, artifacts, caching, config, error reporting."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import carpetgas
 from carpetgas import eigensolve, geometry
-from carpetgas.cli import CACHE_ENV, _key, main
+from carpetgas.cli import CACHE_ENV, _key, build_parser, main
 
 
 @pytest.fixture
@@ -153,6 +154,16 @@ class TestTraceStage:
         assert os.path.basename(payload["weyl_csv"]) in script
         assert os.path.exists(payload["model"])
 
+    def test_p_max_zero_keeps_only_the_mean_term(self, capsys, workdir,
+                                                 sc31_spec, sc31_l4_neumann):
+        seed_spectrum_cache(os.environ[CACHE_ENV], sc31_spec, 4,
+                            sc31_l4_neumann)
+        payload = run_json(capsys, "trace", "analyze", "--preset", "SC(3,1)",
+                           "--level", 4, "--p-max", 0, "--out", workdir)
+        with open(payload["ghat_csv"]) as fh:
+            ghat = list(csv.DictReader(fh))
+        assert [(int(r["k"]), int(r["p"])) for r in ghat] == [(0, 0)]
+
 
 class TestZetaStage:
     def test_eval_interval_negative_half(self, capsys, workdir):
@@ -228,6 +239,16 @@ class TestThermoStage:
         assert len(dens) == 5
         assert dens == sorted(dens)
 
+    @pytest.mark.parametrize("args", [
+        ("thermo", "blackbody", "--ds", 3, "--beta", 0),
+        ("thermo", "casimir", "--ds", 2, "--a", 0, "--b", 1),
+        ("zeta", "eval", "--euclid", "interval", "--s", "-0.5", "--t1", 0),
+    ], ids=["blackbody-beta", "casimir-a", "zeta-t1"])
+    def test_explicit_zero_is_honoured(self, capsys, workdir, args):
+        code, captured = run(capsys, *args, "--out", workdir)
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "DomainError"
+
     def test_bad_grid_rejected(self, capsys):
         code, captured = run(capsys, "thermo", "sweep", "--ds", 2.5,
                              "--grid", "oops")
@@ -252,12 +273,96 @@ class TestConfig:
                            "--level", 2, "--out", workdir)
         assert payload["n"] == 64  # CLI --level, not the config's 3
 
+    def test_config_value_goes_through_the_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"beta": "0.05"}))
+        from_config = run_json(capsys, "thermo", "blackbody", "--ds", 3,
+                               "--config", cfg)
+        from_flag = run_json(capsys, "thermo", "blackbody", "--ds", 3,
+                             "--beta", 0.05)
+        assert from_config == from_flag
+
+    def test_config_zero_is_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"beta": 0}))
+        code, captured = run(capsys, "thermo", "blackbody", "--ds", 3,
+                             "--config", cfg)
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("values", [{"euclid": "torus"},
+                                        {"method": "bogus"},
+                                        {"level": "3.5"}])
+    def test_config_value_checked_like_its_flag(self, capsys, tmp_path,
+                                                values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, captured = run(capsys, "thermo", "blackbody", "--ds", 3,
+                             "--config", cfg)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "CarpetGasError"
+        assert "--" + next(iter(values)) in err["message"]
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2]")
         code, captured = run(capsys, "carpet", "info", "--config", cfg)
         assert code == 1
         assert "JSON object" in json.loads(captured.err)["message"]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_subcommand_keeps_its_flags():
+    common = {"--preset", "--spec", "--level", "--bc", "--out", "--config"}
+    solver = {"--method", "--cap", "--budget"}
+    chain = solver | {"--p-max"}
+    zeta = chain | {"--euclid", "--gamma", "--t1", "--nmax"}
+    thermo = chain | {"--euclid", "--ds", "--beta"}
+    want = {
+        ("carpet", "validate"): set(),
+        ("carpet", "info"): set(),
+        ("graph", "build"): {"--adjacency"},
+        ("spectrum", "compute"): solver,
+        ("trace", "analyze"): chain,
+        ("zeta", "eval"): zeta | {"--s"},
+        ("zeta", "poles"): zeta,
+        ("zeta", "casimir"): zeta,
+        ("thermo", "bec"): chain | {"--beta"},
+        ("thermo", "blackbody"): thermo | {"--length"},
+        ("thermo", "casimir"): thermo | {"--a", "--b"},
+        ("thermo", "sweep"): thermo | {"--quantity", "--grid"},
+        ("oracle", "selftest"): set(),
+    }
+    got = {}
+    for stage, stage_parser in _subparsers(build_parser()).items():
+        for action, sub in _subparsers(stage_parser).items():
+            got[stage, action] = {flag for a in sub._actions
+                                  for flag in a.option_strings} - {"-h", "--help"}
+    assert got == {key: flags | common for key, flags in want.items()}
+
+
+def _source_tree_env(tmp_path):
+    """Environment for a child interpreter that imports this carpetgas."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(carpetgas.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, **{CACHE_ENV: str(tmp_path / "cache"),
+                               "PYTHONPATH": pythonpath})
+
+
+def test_cli_import_leaves_scipy_signal_out(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, carpetgas.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=_source_tree_env(tmp_path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("carpetgas") is None,
@@ -286,14 +391,11 @@ def test_declared_entry_point_runs_out_of_process(tmp_path):
     assert target == "carpetgas.cli:main"
     module, func = target.split(":")
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(carpetgas.__file__)))
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, **{CACHE_ENV: str(tmp_path / "cache"),
-                              "PYTHONPATH": pythonpath})
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "carpet", "validate",
          "--preset", "SC(3,1)", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_source_tree_env(tmp_path),
+        timeout=120)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["validation"]["ok"] is True

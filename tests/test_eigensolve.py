@@ -59,12 +59,6 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s.lambda1
 
-    def test_rescaled(self):
-        s = Spectrum(eigenvalues=np.array([0.0, 1.0, 4.0]), bc="dirichlet", level=2)
-        r = s.rescaled(9.0)
-        assert np.array_equal(r.eigenvalues, [0.0, 9.0, 36.0])
-        assert r.bc == "dirichlet" and r.level == 2
-
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError):
             Spectrum(eigenvalues=np.zeros((2, 2)))
