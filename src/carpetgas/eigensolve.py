@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceededError, ConvergenceError, FactorizationError
+from .graph import laplacian
 
 DENSE_CAP = 10_000
 # Downstream log-periodic extraction is sensitive to spectral noise; keep
@@ -318,8 +319,6 @@ def compute_spectrum(graph, bc: str = "neumann", method: str = "auto",
     A complete Neumann spectrum carries its kernel, one mode per connected
     component, as exact zeros.
     """
-    from .graph import laplacian
-
     L = laplacian(graph, bc)
     n = L.shape[0]
     if method == "auto":

@@ -7,7 +7,7 @@ the carpet pipeline, so each pipeline stage can be validated against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

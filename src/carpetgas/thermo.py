@@ -7,7 +7,11 @@ and zeta values and is the thermodynamic-limit asymptotic.  Units follow
 hbar = c = 2m = 1: a massive particle on the scaled domain has energies
 lambda_j / L^2, a photon has frequencies sqrt(lambda_j) / L.
 
-Densities are per spectral volume V_s = (4 pi)^(d_s/2) G_{0,0} L^(d_s).
+Both paths read extensive quantities per spectral volume
+V_s = (4 pi)^(d_s/2) G_{0,0} L^(d_s): the density is N / V_s and the free
+energy density is -log Xi / (beta V_s).  On the model path N and log Xi are
+towers sum G (L^2/beta)^e Li_(e+k)(z) over the trace terms, with the density
+and free energy keeping the volume (k = 0) terms only.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .errors import DIVERGED, DomainError
 from .eigensolve import Spectrum
+from .geometry import dimension_bounds
 from .oracle import interval_trace_exact
 from .specfun import gamma as cgamma
 from .specfun import polylog_complex, riemann_zeta
@@ -104,16 +109,36 @@ def _volume_terms(model: HeatTraceModel):
     return [t for t in model.terms if t.k == 0]
 
 
-def _check_massive_regime(state: GasState):
-    ratio = state.L * state.L / state.beta
-    if ratio < MASSIVE_REGIME:
+def _check_window(label: str, ratio: float, floor: float, consequence: str = "",
+                  stacklevel: int = 3):
+    """Warn when a model-path scale ratio is below its asymptotic window.
+
+    The default stacklevel points at the caller of the public function that
+    calls this helper directly.
+    """
+    if ratio < floor:
         warnings.warn(
-            f"L^2/beta = {ratio:.3g} below the asymptotic window "
-            f">= {MASSIVE_REGIME:g}; model-path values carry uncontrolled "
-            "finite-size corrections",
+            f"{label} = {ratio:.3g} below the asymptotic window >= {floor:g}"
+            + consequence,
             UserWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _check_massive_regime(state: GasState):
+    _check_window("L^2/beta", state.L * state.L / state.beta, MASSIVE_REGIME,
+                  "; model-path values carry uncontrolled finite-size corrections",
+                  stacklevel=4)
+
+
+def _polylog_tower(state: GasState, terms, order: float) -> complex:
+    """sum over terms of G (L^2/beta)^e Li_(e + order)(z)."""
+    log_tau = math.log(state.L * state.L / state.beta)
+    acc = 0.0 + 0.0j
+    for term in terms:
+        acc += term.coefficient * cmath.exp(term.exponent * log_tau) \
+            * polylog_complex(term.exponent + order, state.z)
+    return acc
 
 
 def massive_log_partition(state: GasState, source) -> float:
@@ -129,15 +154,9 @@ def massive_log_partition(state: GasState, source) -> float:
         return -float(math.fsum(_log1mexp(u).tolist()))
     model = source
     _check_massive_regime(state)
-    tau = state.L * state.L / state.beta
-    acc = 0.0 + 0.0j
-    for term in model.terms:
-        s = term.exponent + 1.0
-        if state.z == 1.0 and s.real <= 1.0:
-            return DIVERGED
-        acc += term.coefficient * cmath.exp(term.exponent * math.log(tau)) \
-            * polylog_complex(s, state.z)
-    return acc.real
+    if state.z == 1.0 and any((t.exponent + 1.0).real <= 1.0 for t in model.terms):
+        return DIVERGED
+    return _polylog_tower(state, model.terms, 1.0).real
 
 
 def particle_density(state: GasState, source, v_s: float | None = None):
@@ -146,8 +165,8 @@ def particle_density(state: GasState, source, v_s: float | None = None):
     Spectrum path needs an explicit spectral volume; the model path takes
     the k = 0 tower of the trace law (volume term),
 
-        rho = (4 pi beta)^(-d_s/2) / G00 *
-              sum_p G_{0,p} (beta/L^2)^(-2 pi i p / P) Li_(d_s/2 + 2 pi i p / P)(z),
+        rho = sum_p G_{0,p} (L^2/beta)^(e_p) Li_(e_p)(z) / V_s,
+        e_p = d_s/2 + 2 pi i p / P,
 
     and returns DIVERGED at z = 1 when d_s <= 2.
     """
@@ -160,13 +179,8 @@ def particle_density(state: GasState, source, v_s: float | None = None):
     if state.z == 1.0 and model.d_s <= 2.0:
         return DIVERGED
     _check_massive_regime(state)
-    tau = state.beta / (state.L * state.L)
-    acc = 0.0 + 0.0j
-    for term in _volume_terms(model):
-        phase = cmath.exp(-(term.exponent - model.d_s / 2.0) * math.log(tau))
-        acc += term.coefficient * phase * polylog_complex(term.exponent, state.z)
-    out = acc / ((4.0 * math.pi * state.beta) ** (model.d_s / 2.0) * model.g00)
-    return out.real
+    n = _polylog_tower(state, _volume_terms(model), 0.0)
+    return n.real / spectral_volume(model, state.L)
 
 
 def density_series(state: GasState, model: HeatTraceModel,
@@ -328,14 +342,8 @@ def free_energy_density(state: GasState, source, v_s: float | None = None):
     if state.z == 1.0 and model.d_s <= 0.0:
         return DIVERGED
     _check_massive_regime(state)
-    tau = state.beta / (state.L * state.L)
-    acc = 0.0 + 0.0j
-    for term in _volume_terms(model):
-        phase = cmath.exp(-(term.exponent - model.d_s / 2.0) * math.log(tau))
-        acc += term.coefficient * phase * polylog_complex(term.exponent + 1.0, state.z)
-    out = acc / ((4.0 * math.pi) ** (model.d_s / 2.0) * model.g00
-                 * state.beta ** (model.d_s / 2.0 + 1.0))
-    return -out.real
+    log_xi = _polylog_tower(state, _volume_terms(model), 1.0)
+    return -log_xi.real / (state.beta * spectral_volume(model, state.L))
 
 
 @dataclass
@@ -354,8 +362,6 @@ def bec_diagnose(spec, fitted: HeatTraceModel | None = None) -> BECReport:
     walk transient).  When the certified interval straddles 2 the verdict is
     inconclusive and only the fitted value hints at the answer.
     """
-    from .geometry import dimension_bounds
-
     bounds = dimension_bounds(spec)
     fitted_ds = fitted.d_s if fitted is not None else None
     if bounds.d_s_lower > 2.0:
@@ -373,6 +379,11 @@ def bec_diagnose(spec, fitted: HeatTraceModel | None = None) -> BECReport:
     )
 
 
+def _photon_coefficient(coefficient: complex, D: complex) -> complex:
+    """G Gamma((D+1)/2) zeta(D+1): Mellin coefficient of a photon-gas term."""
+    return coefficient * cgamma((D + 1.0) / 2.0) * riemann_zeta(D + 1.0)
+
+
 def _radiation_sum(model: HeatTraceModel, beta: float, L: float,
                    weight_energy: bool) -> complex:
     """sum over trace terms of the photon-gas Mellin coefficients.
@@ -388,8 +399,8 @@ def _radiation_sum(model: HeatTraceModel, beta: float, L: float,
         d = 2.0 * term.exponent
         if d.real <= 1e-12:
             continue
-        piece = term.coefficient * cmath.exp(d * math.log(2.0 * L / beta)) \
-            * cgamma((d + 1.0) / 2.0) * riemann_zeta(d + 1.0) / math.sqrt(math.pi)
+        piece = _photon_coefficient(term.coefficient, d) \
+            * cmath.exp(d * math.log(2.0 * L / beta)) / math.sqrt(math.pi)
         if weight_energy:
             piece *= d
         acc += piece
@@ -406,13 +417,8 @@ def blackbody(model: HeatTraceModel, beta: float, L: float = 1.0):
     """
     if beta <= 0 or L <= 0:
         raise DomainError("beta and L must be positive")
-    if L / beta < MASSLESS_REGIME:
-        warnings.warn(
-            f"L/beta = {L / beta:.3g} below the asymptotic window "
-            f">= {MASSLESS_REGIME:g}; dropped short-scale terms may matter",
-            UserWarning,
-            stacklevel=2,
-        )
+    _check_window("L/beta", L / beta, MASSLESS_REGIME,
+                  "; dropped short-scale terms may matter")
     v_s = spectral_volume(model, L)
     total = _radiation_sum(model, beta, L, weight_energy=True) / (beta * v_s)
     if abs(total.imag) > 1e-9 * max(abs(total.real), 1e-300):
@@ -442,15 +448,13 @@ def waveguide_trace(carpet_model: HeatTraceModel, a: float, b: float,
 
 
 def _waveguide_coefficients(model: HeatTraceModel):
-    """C_p = zeta(1 + d_so + 4 pi i p / P) Gamma(1/2 + d_so/2 + 2 pi i p / P) G_{0,p}."""
-    d_so = model.d_s + 1.0
-    out = []
-    for term in _volume_terms(model):
-        shift = term.exponent - model.d_s / 2.0   # 2 pi i p / P
-        c = riemann_zeta(1.0 + d_so + 2.0 * shift) \
-            * cgamma(0.5 + d_so / 2.0 + shift) * term.coefficient
-        out.append((term.p, shift, c))
-    return d_so, out
+    """(2 pi i p / P, C_p) over the volume terms, with C_p the photon
+    coefficient of G_{0,p} at D = 2 e_p + 1 = d_so + 4 pi i p / P, the
+    dimension of the carpet x interval waveguide.
+    """
+    return [(term.exponent - model.d_s / 2.0,
+             _photon_coefficient(term.coefficient, 2.0 * term.exponent + 1.0))
+            for term in _volume_terms(model)]
 
 
 def casimir_waveguide_zero_T(carpet_model: HeatTraceModel, a: float,
@@ -463,18 +467,13 @@ def casimir_waveguide_zero_T(carpet_model: HeatTraceModel, a: float,
     """
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
-    if a / b < MASSLESS_REGIME:
-        warnings.warn(
-            f"a/b = {a / b:.3g} below the asymptotic window >= {MASSLESS_REGIME:g}",
-            UserWarning,
-            stacklevel=2,
-        )
+    _check_window("a/b", a / b, MASSLESS_REGIME)
     ds = carpet_model.d_s
-    d_so, coeffs = _waveguide_coefficients(carpet_model)
+    d_so = ds + 1.0
     log_ab = math.log(a / b)
     e_acc = 0.0 + 0.0j
     p_acc = 0.0 + 0.0j
-    for _p, shift, c in coeffs:
+    for shift, c in _waveguide_coefficients(carpet_model):
         osc = cmath.exp(2.0 * shift * log_ab)
         e_acc += c * osc
         p_acc += c * (d_so + 2.0 * shift) * osc
@@ -500,23 +499,13 @@ def casimir_waveguide_thermal(carpet_model: HeatTraceModel, a: float, b: float,
         raise DomainError("beta must be positive")
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
-    if a / beta < MASSLESS_REGIME:
-        warnings.warn(
-            f"a/beta = {a / beta:.3g} below the asymptotic window "
-            f">= {MASSLESS_REGIME:g}",
-            UserWarning,
-            stacklevel=2,
-        )
+    _check_window("a/beta", a / beta, MASSLESS_REGIME)
     d_so = carpet_model.d_s + 1.0
     x = -math.log(beta / (2.0 * a))
     acc = 0.0 + 0.0j
-    for term in _volume_terms(carpet_model):
-        shift = term.exponent - carpet_model.d_s / 2.0
-        d_p = d_so + 2.0 * shift
-        amp = (term.coefficient / carpet_model.g00) \
-            * cgamma((d_p + 1.0) / 2.0) * riemann_zeta(d_p + 1.0) \
-            / math.pi ** ((d_so + 1.0) / 2.0)
-        acc += amp * cmath.exp(2.0 * shift * x)
+    for shift, c in _waveguide_coefficients(carpet_model):
+        acc += c * cmath.exp(2.0 * shift * x)
+    acc /= carpet_model.g00 * math.pi ** ((d_so + 1.0) / 2.0)
     if abs(acc.imag) > 1e-10 * max(abs(acc.real), 1e-300):
         raise DomainError(f"thermal sum has imaginary part {acc.imag!r}")
     return acc.real * beta ** (-(d_so + 1.0))

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,6 +146,8 @@ def t_at_trace(spectrum: Spectrum, target: float) -> float:
     lo, hi = -60.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if trace_value(spectrum, math.exp(mid)) > target:
             lo = mid
         else:
@@ -334,8 +336,8 @@ def dominant_log_period(x, values,
     count = int(min(20000, max(64, (f_hi - f_lo) / df)))
     freqs = np.linspace(f_lo, f_hi, count)
     best_f, best_a = freqs[0], -1.0
-    for start in range(0, count, 256):
-        chunk = freqs[start:start + 256]
+    for start in range(0, count, 32):
+        chunk = freqs[start:start + 32]
         phase = np.exp(-2j * math.pi * chunk[:, None] * xs[None, :])
         amps = np.abs(phase @ detr) * norm
         j = int(np.argmax(amps))

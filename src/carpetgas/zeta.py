@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .eigensolve import Spectrum
-from .specfun import gamma as cgamma
 from .specfun import gamma_reciprocal, incomplete_gamma
 from .trace import HeatTraceModel
 
@@ -41,6 +40,7 @@ class Pole:
     n: int
     location: complex
     residue: complex
+    coefficient: complex   # G_{k,p} (-gamma)^n / n!, the tower coefficient
 
 
 def _estimate_ds(eigenvalues: np.ndarray) -> float:
@@ -166,11 +166,6 @@ class ZetaExtension:
     _i3: _CachedPanels | None = None
     last_error: float = 0.0
 
-    def _coef(self, term, n: int) -> complex:
-        if n == 0:
-            return term.coefficient
-        return term.coefficient * (-self.gamma) ** n / math.factorial(n)
-
     def residue_at(self, s: complex) -> complex:
         """Sum of residues of poles within POLE_TOL of s."""
         acc = 0.0 + 0.0j
@@ -185,26 +180,23 @@ class ZetaExtension:
         hit_residue = 0.0 + 0.0j
         hit_loc = None
         log_t1 = math.log(self.t1)
-        for term in self.model.terms:
-            for n in range(self.n_max + 1):
-                coef = self._coef(term, n)
-                if coef == 0:
-                    continue
-                loc = term.exponent - n
-                d = s - loc
-                if abs(d) < POLE_TOL:
-                    res = coef * gamma_reciprocal(loc)
-                    if abs(res) > 1e-13 * (1.0 + abs(coef)):
-                        hit_residue += res
-                        hit_loc = loc
-                    else:
-                        # 1/Gamma has a matching zero; the product has the
-                        # finite limit coef * (-1)^j j! at loc = -j
-                        j = int(round(-loc.real))
-                        removable += coef * (-1) ** j * math.factorial(j)
+        for pole in self.poles:
+            coef, loc = pole.coefficient, pole.location
+            if coef == 0:
+                continue
+            d = s - loc
+            if abs(d) < POLE_TOL:
+                if abs(pole.residue) > 1e-13 * (1.0 + abs(coef)):
+                    hit_residue += pole.residue
+                    hit_loc = loc
                 else:
-                    # int_0^t1 t^(s-1-exp+n) dt = t1^d / d with d = s - loc
-                    bracket += coef * np.exp(d * log_t1) / d
+                    # 1/Gamma has a matching zero; the product has the
+                    # finite limit coef * (-1)^j j! at loc = -j
+                    j = int(round(-loc.real))
+                    removable += coef * (-1) ** j * math.factorial(j)
+            else:
+                # int_0^t1 t^(s-1-exp+n) dt = t1^d / d with d = s - loc
+                bracket += coef * np.exp(d * log_t1) / d
         if hit_loc is not None:
             raise PoleError(
                 f"zeta evaluated at pole s={s!r}",
@@ -278,7 +270,7 @@ def _build_poles(model: HeatTraceModel, gamma: complex, n_max: int) -> list[Pole
         for n in range(n_max + 1):
             loc = term.exponent - n
             coef = term.coefficient * (-gamma) ** n / math.factorial(n)
-            poles.append(Pole(term.k, term.p, n, loc, coef * gamma_reciprocal(loc)))
+            poles.append(Pole(term.k, term.p, n, loc, coef * gamma_reciprocal(loc), coef))
     return poles
 
 
@@ -372,10 +364,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
         bounds.append(bounds[-1] * 2.0)
     i3_panels = list(zip(bounds[:-1], bounds[1:]))
 
-    def tail_fn(t, _tail=tail):
-        return _tail(t)
-
-    ext._i3 = _CachedPanels(tail_fn, i3_panels)
+    ext._i3 = _CachedPanels(tail, i3_panels)
     ext.tail_mode = "exact"
     ext.entire_part = (
         f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}"

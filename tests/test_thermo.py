@@ -408,6 +408,37 @@ class TestFreeEnergy:
                     flat_model(3.0))
         assert abs(got) < 1e-10
 
+    @pytest.mark.parametrize("model", [
+        flat_model(2.5), flat_model(3.0),
+        rippled_model(2.4, 0.05, phi=0.3),
+        rippled_model(3.0, 0.1, phi=1.0, period=1.3),
+    ], ids=["flat2.5", "flat3", "rippled2.4", "rippled3"])
+    @pytest.mark.parametrize("z", [0.3, 0.9, 1.0])
+    def test_model_path_identity(self, model, z):
+        # volume-only models: f = -log Xi / (beta V_s) on the model path too
+        beta, L = 0.002, 3.0
+        st = GasState(beta=beta, z=z, L=L)
+        f = free_energy_density(st, model)
+        logxi = massive_log_partition(st, model)
+        assert f == pytest.approx(
+            -logxi / (beta * spectral_volume(model, L)), rel=1e-13)
+
+
+class TestWindowWarnings:
+    @pytest.mark.parametrize("call", [
+        lambda: massive_log_partition(GasState(beta=0.5, z=0.5), flat_model(3.0)),
+        lambda: particle_density(GasState(beta=0.5, z=0.5), flat_model(3.0)),
+        lambda: free_energy_density(GasState(beta=0.5, z=0.5), flat_model(3.0)),
+        lambda: blackbody(flat_model(3.0), 0.5),
+        lambda: casimir_waveguide_zero_T(flat_model(2.0), 5.0, 1.0),
+        lambda: casimir_waveguide_thermal(flat_model(2.0), 3.0, 1.0, 0.5),
+    ], ids=["log_partition", "density", "free_energy", "blackbody",
+            "casimir_zero_T", "casimir_thermal"])
+    def test_warning_points_at_caller(self, call):
+        with pytest.warns(UserWarning, match="asymptotic window") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestLevelTrends:
     def test_sc31_density_grows_ms31_density_converges(
@@ -569,6 +600,15 @@ class TestWaveguide:
         p1 = casimir_waveguide_thermal(flat_model(2.0), a, 1.0, beta)
         p2 = casimir_waveguide_thermal(flat_model(2.0), a, 7.0, beta)
         assert p1 == p2
+
+    @pytest.mark.parametrize("d", [1.7, 2.6])
+    def test_thermal_pressure_is_blackbody_one_dimension_up(self, d):
+        # the a >> beta thermal pressure is the radiation pressure of the
+        # (d_s + 1)-dimensional carpet x interval product
+        beta = 0.05
+        got = casimir_waveguide_thermal(flat_model(d), 30.0, 1.0, beta)
+        _, want = blackbody(flat_model(d + 1.0), beta)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_narrow_guide_warns(self):
         with pytest.warns(UserWarning, match="asymptotic window"):
