@@ -202,15 +202,6 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
     return Spectrum(eigenvalues=w, method="dense")
 
 
-def counting_function(spectrum: Spectrum, s: float,
-                      normalized: bool = False) -> int:
-    """N(s): number of eigenvalues strictly below s (or below s*lambda1)."""
-    if spectrum.n == 0:
-        raise ValueError("empty spectrum")
-    thresh = s * spectrum.lambda1 if normalized else s
-    return int(np.searchsorted(spectrum.eigenvalues, thresh, side="left"))
-
-
 def _solve_slice(matrix, lo, hi, count, rng):
     """Eigenvalues of ``matrix`` in [lo, hi), known to number ``count``."""
     n = matrix.shape[0]

@@ -12,7 +12,7 @@ H3  non-diagonality: inside every 2x...x2 block of adjacent cells, the
     kept cells are face-connected (if there are any);
 H4  the whole bottom edge row (i, 0, ..., 0) is kept.
 
-Cells and cell addresses are plain tuples, ordered lexicographically.
+Cells are plain tuples, ordered lexicographically.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError, InvalidCarpetError, MalformedSpecError
+from .errors import InvalidCarpetError, MalformedSpecError
 
 Cell = tuple[int, ...]
-CellAddress = tuple[Cell, ...]
-
-REFINE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -220,45 +217,6 @@ def dimension_bounds(spec: CarpetSpec, check: bool = True) -> DimensionBounds:
         d_w_lower=math.log(rm_lo) / log_l,
         d_w_upper=math.log(rm_hi) / log_l,
     )
-
-
-def refine(spec: CarpetSpec, level: int, cap: int = REFINE_CAP) -> list[CellAddress]:
-    """All level-n cell addresses in lexicographic order."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    count = spec.m**level
-    if count > cap:
-        raise CapExceededError(f"refine would produce {count} cells (cap {cap})")
-    cells = spec.sorted_cells()
-    return [tuple(addr) for addr in itertools.product(cells, repeat=level)]
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    center: tuple[float, ...]
-    side: float
-    touches: tuple[tuple[bool, bool], ...]  # per axis: (low face, high face)
-
-
-def cell_geometry(spec: CarpetSpec, address: CellAddress) -> CellGeometry:
-    """Center, side length and outer-boundary contact of an addressed cell.
-
-    The affine composition gives center_i = sum_k digit_k,i l^(-k-1) + l^-n / 2.
-    """
-    n = len(address)
-    side = spec.l ** (-n)
-    center = []
-    for i in range(spec.d):
-        x = sum(cell[i] * spec.l ** (-(k + 1)) for k, cell in enumerate(address))
-        center.append(x + side / 2.0)
-    touches = tuple(
-        (
-            all(cell[i] == 0 for cell in address),
-            all(cell[i] == spec.l - 1 for cell in address),
-        )
-        for i in range(spec.d)
-    )
-    return CellGeometry(tuple(center), side, touches)
 
 
 # ---------------------------------------------------------------------------

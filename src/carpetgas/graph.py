@@ -11,16 +11,19 @@ overall spectral scale is removed downstream by lambda_1 normalization.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError
-from .geometry import CarpetSpec, refine
+from .errors import CapExceededError, DomainError
+from .geometry import CarpetSpec
 
 _ADJACENCY = ("face", "vertex")
+
+REFINE_CAP = 10_000_000  # most level-n cells a graph may have
 
 
 @dataclass
@@ -48,51 +51,51 @@ class ApproxGraph:
 
 
 def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> ApproxGraph:
-    """Build the level-n cell graph; vertex order matches refine(spec, level)."""
+    """Build the level-n cell graph; vertices in lexicographic address order.
+
+    Vertex v has the address digits of v in base m (first digit slowest), so
+    its coordinate is sum_k l^(level-1-k) * cell_k over the sorted mask cells.
+    Neighbours are looked up once per offset in the positive half of
+    {-1,0,1}^d (only the unit offsets for face adjacency), through sorted
+    raveled coordinate keys, so each edge is found once.
+    """
     if adjacency not in _ADJACENCY:
         raise DomainError(f"adjacency must be one of {_ADJACENCY}, got {adjacency!r}")
     if level < 1:
         raise DomainError(f"graph needs level >= 1, got {level}")
-    addresses = refine(spec, level)
+    count = spec.m**level
+    if count > REFINE_CAP:
+        raise CapExceededError(f"level {level} has {count} cells (cap {REFINE_CAP})")
     d, l = spec.d, spec.l
-    n = len(addresses)
+    cells = np.asarray(spec.sorted_cells(), dtype=np.int64)
+    coords = np.zeros((1, d), dtype=np.int64)
+    for _ in range(level):
+        coords = (l * coords[:, None, :] + cells[None, :, :]).reshape(-1, d)
 
-    coords = np.empty((n, d), dtype=np.int64)
-    scale = np.array([l ** (level - 1 - k) for k in range(level)], dtype=np.int64)
-    for v, addr in enumerate(addresses):
-        digits = np.asarray(addr, dtype=np.int64)  # (level, d)
-        coords[v] = scale @ digits
+    side = l**level
+    shape = (side,) * d
+    keys = np.ravel_multi_index(coords.T, shape)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    offsets = [
+        off
+        for off in itertools.product((-1, 0, 1), repeat=d)
+        if off > (0,) * d and (adjacency == "vertex" or sum(map(abs, off)) == 1)
+    ]
+    pairs = []  # edge (i, j), i < j, encoded as i * count + j
+    for off in offsets:
+        nb = coords + off
+        src = np.flatnonzero(np.all((nb >= 0) & (nb < side), axis=1))
+        key = np.ravel_multi_index(nb[src].T, shape)
+        pos = np.minimum(np.searchsorted(sorted_keys, key), count - 1)
+        hit = sorted_keys[pos] == key
+        a, b = src[hit], order[pos[hit]]
+        pairs.append(np.minimum(a, b) * count + np.maximum(a, b))
+    edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), count), axis=1)
 
-    index = {tuple(row): v for v, row in enumerate(coords.tolist())}
-    if adjacency == "face":
-        offsets = [
-            tuple(int(i == ax) for i in range(d)) for ax in range(d)
-        ]  # +e_ax only; each edge found once
-    else:
-        offsets = [
-            offs
-            for offs in np.ndindex(*(3,) * d)
-            if any(o != 1 for o in offs)
-        ]
-        offsets = [tuple(o - 1 for o in offs) for offs in offsets]
-        offsets = [o for o in offsets if o > tuple(0 for _ in range(d))]
-
-    edges = []
-    for v, row in enumerate(coords.tolist()):
-        for off in offsets:
-            nb = index.get(tuple(c + o for c, o in zip(row, off)))
-            if nb is not None:
-                edges.append((v, nb) if v < nb else (nb, v))
-    edges_arr = (
-        np.unique(np.asarray(sorted(set(edges)), dtype=np.int64), axis=0)
-        if edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
-
-    top = l**level - 1
-    on_boundary = np.any((coords == 0) | (coords == top), axis=1)
+    on_boundary = np.any((coords == 0) | (coords == side - 1), axis=1)
     boundary = np.flatnonzero(on_boundary)
-    return ApproxGraph(spec, level, coords, edges_arr, boundary, adjacency)
+    return ApproxGraph(spec, level, coords, edges, boundary, adjacency)
 
 
 def laplacian(graph: ApproxGraph, bc: str = "neumann") -> sp.csr_matrix:
@@ -118,10 +121,6 @@ def laplacian(graph: ApproxGraph, bc: str = "neumann") -> sp.csr_matrix:
             )
         return lap[keep][:, keep].tocsr()
     raise DomainError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
-
-
-def interior_vertices(graph: ApproxGraph) -> np.ndarray:
-    return np.setdiff1d(np.arange(graph.n_vertices), graph.boundary)
 
 
 def degree_stats(graph: ApproxGraph) -> dict:

@@ -46,7 +46,8 @@ def box_spectrum(box: BoxSpec, cutoff: float) -> Spectrum:
     """All Laplacian eigenvalues pi^2 sum (n_i/L_i)^2 <= cutoff, exact.
 
     Dirichlet: n_i >= 1; Neumann: n_i >= 0.  Enumeration is pruned axis by
-    axis; the working array size is capped.
+    axis; the working array size is capped.  The list is a cutoff truncation
+    of an infinite spectrum, so it is marked incomplete.
     """
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
@@ -56,7 +57,7 @@ def box_spectrum(box: BoxSpec, cutoff: float) -> Spectrum:
         n_max = int(math.floor(L * math.sqrt(cutoff) / math.pi))
         ns = np.arange(n_start, n_max + 1, dtype=np.float64)
         if ns.size == 0:
-            return Spectrum(np.zeros(0), bc=box.bc, method="oracle-box")
+            return Spectrum(np.zeros(0), bc=box.bc, complete=False, method="oracle-box")
         if sums.size * ns.size > ENUM_CAP:
             raise CapExceededError(
                 f"box enumeration needs {sums.size * ns.size} candidates (cap {ENUM_CAP})"
@@ -64,7 +65,7 @@ def box_spectrum(box: BoxSpec, cutoff: float) -> Spectrum:
         axis = (math.pi / L) ** 2 * ns**2
         sums = (sums[:, None] + axis[None, :]).ravel()
         sums = sums[sums <= cutoff]
-    return Spectrum(np.sort(sums), bc=box.bc, method="oracle-box")
+    return Spectrum(np.sort(sums), bc=box.bc, complete=False, method="oracle-box")
 
 
 def interval_trace_exact(tau: float, bc: str = "dirichlet") -> float:

@@ -70,12 +70,6 @@ class HeatTraceModel:
     def g00(self) -> float:
         return self.coefficient(0, 0).real
 
-    def k_values(self) -> list[int]:
-        return sorted({t.k for t in self.terms})
-
-    def p_range(self, k: int = 0) -> int:
-        return max((abs(t.p) for t in self.terms if t.k == k), default=0)
-
     def evaluate(self, t: float) -> complex:
         """Model prediction of K(t) (without the remainder)."""
         return sum(term.coefficient * t ** (-term.exponent) for term in self.terms)
@@ -257,26 +251,6 @@ def extract_fourier(series: WeylSeries, d_s: float, period: float,
         remainder = f"stretched-exponential(rate exponent {1.0 / (d_w - 1.0):.6g})"
     return HeatTraceModel(terms=terms, period=period, d_s=d_s, d_w=d_w,
                           remainder=remainder)
-
-
-def extract_boundary_fourier(series_neumann: WeylSeries, series_dirichlet: WeylSeries,
-                             d_s: float, d_w: float, period: float,
-                             p_max: int = P_MAX_DEFAULT,
-                             window: tuple[float, float] | None = None) -> list[ModelTerm]:
-    """Codimension-1 terms from the Neumann/Dirichlet trace difference.
-
-    (K_N - K_D)/2 isolates the boundary contribution with exponent
-    d_1/d_w = (d_s - 2/d_w)/2 relative form; returned terms carry the
-    Neumann sign (negate for Dirichlet).
-    """
-    if not np.array_equal(series_neumann.t, series_dirichlet.t):
-        raise ValueError("series must share one t grid")
-    half = 0.5 * (series_neumann.K - series_dirichlet.K)
-    diff = WeylSeries(t=series_neumann.t, K=np.maximum(half, 1e-300))
-    # boundary exponent d_1/d_w with d_1 = d_h - 1 (codimension one)
-    exp1 = d_s / 2 - 1.0 / d_w
-    sub = extract_fourier(diff, 2.0 * exp1, period, p_max=p_max, window=window, d_w=d_w)
-    return [ModelTerm(1, t.p, t.exponent, t.coefficient) for t in sub.terms]
 
 
 def counting_ratio(spectrum: Spectrum, d_s: float, points: int = 4096,

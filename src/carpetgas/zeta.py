@@ -166,14 +166,6 @@ class ZetaExtension:
     _i3: _CachedPanels | None = None
     last_error: float = 0.0
 
-    def residue_at(self, s: complex) -> complex:
-        """Sum of residues of poles within POLE_TOL of s."""
-        acc = 0.0 + 0.0j
-        for pole in self.poles:
-            if abs(s - pole.location) < POLE_TOL:
-                acc += pole.residue
-        return acc
-
     def _bracket_terms(self, s: complex):
         bracket = 0.0 + 0.0j
         removable = 0.0 + 0.0j
@@ -309,7 +301,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             )
         if gamma.imag != 0:
             raise DomainError("spectrum tails support real gamma only")
-        if tail.n and (tail.lambda_max + gamma.real) * t1 < 35.0:
+        if not tail.complete and tail.n and (tail.lambda_max + gamma.real) * t1 < 35.0:
             warnings.warn(
                 "top of the spectrum still contributes at t1 "
                 f"(lambda_max * t1 = {tail.lambda_max * t1:.3g} < 35); "

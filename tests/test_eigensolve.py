@@ -9,7 +9,6 @@ from carpetgas.eigensolve import (
     DENSE_CAP,
     Spectrum,
     compute_spectrum,
-    counting_function,
     dense_eigenvalues,
     gershgorin_interval,
     inertia_count,
@@ -212,23 +211,6 @@ class TestComputeSpectrum:
         g = build_graph(preset("SC(3,1)"), 2)
         with pytest.raises(ValueError):
             compute_spectrum(g, method="magic")
-
-
-class TestCountingFunction:
-    def test_strictly_below(self):
-        s = Spectrum(eigenvalues=np.array([0.0, 1.0, 1.0, 2.0, 5.0]))
-        assert counting_function(s, 1.0) == 1
-        assert counting_function(s, 1.0000001) == 3
-        assert counting_function(s, 10.0) == 5
-
-    def test_normalized_threshold(self):
-        s = Spectrum(eigenvalues=np.array([0.0, 0.5, 1.5, 4.0]))
-        # s=2 in lambda_1 units means eigenvalues below 1.0
-        assert counting_function(s, 2.0, normalized=True) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            counting_function(Spectrum(eigenvalues=np.zeros(0)), 1.0)
 
 
 class TestSaveLoad:

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from carpetgas.errors import CapExceededError, InvalidCarpetError, MalformedSpecError
+from carpetgas.errors import InvalidCarpetError, MalformedSpecError
 from carpetgas.geometry import (
     CarpetSpec,
-    cell_geometry,
     dimension_bounds,
     format_spec_text,
     load_spec,
@@ -14,7 +13,6 @@ from carpetgas.geometry import (
     parse_spec_text,
     preset,
     preset_names,
-    refine,
     save_spec,
     validate_spec,
 )
@@ -127,37 +125,6 @@ class TestDimensions:
         mask = frozenset((i, j) for i in range(3) for j in range(3) if (i, j) != (0, 1))
         with pytest.raises(InvalidCarpetError):
             dimension_bounds(CarpetSpec(d=2, l=3, mask=mask))
-
-
-class TestRefine:
-    def test_counts(self):
-        spec = preset("SC(3,1)")
-        for level in range(0, 4):
-            assert len(refine(spec, level)) == 8**level
-
-    def test_lexicographic_and_deterministic(self):
-        spec = preset("SC(3,1)")
-        a = refine(spec, 2)
-        b = refine(spec, 2)
-        assert a == b
-        assert a == sorted(a)
-
-    def test_cap(self):
-        spec = preset("MS(3,1)")
-        with pytest.raises(CapExceededError):
-            refine(spec, 7, cap=10_000)
-
-    def test_cell_geometry(self):
-        spec = preset("SC(3,1)")
-        addr = (min(spec.mask), max(spec.mask))
-        geom = cell_geometry(spec, addr)
-        assert geom.side == pytest.approx(1.0 / 9.0)
-        assert all(0.0 < c < 1.0 for c in geom.center)
-        # the all-zero address sits in the lower corner on every axis
-        zero = ((0, 0), (0, 0))
-        g0 = cell_geometry(spec, zero)
-        assert g0.center == (1.0 / 18.0, 1.0 / 18.0)
-        assert g0.touches == ((True, False), (True, False))
 
 
 class TestTextFormat:

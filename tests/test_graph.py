@@ -1,20 +1,21 @@
 """Level-n approximation graphs: counts, adjacency, Laplacians, export."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from carpetgas.errors import DomainError
-from carpetgas.geometry import preset
+from carpetgas.errors import CapExceededError, DomainError
+from carpetgas.geometry import preset, preset_names
 from carpetgas.graph import (
     ApproxGraph,
     build_graph,
     degree_stats,
     export_graph,
-    interior_vertices,
     laplacian,
 )
 
@@ -100,6 +101,51 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_graph(sc31, 1, adjacency="queen")
 
+    @pytest.mark.parametrize("adjacency", ["face", "vertex"])
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_matches_address_reference(self, name, level, adjacency):
+        spec = preset(name)
+        g = build_graph(spec, level, adjacency=adjacency)
+        # vertex v is the v-th address of the lexicographic product of the
+        # sorted mask cells; digit k carries the weight l^(level-1-k)
+        coords = np.array(
+            [
+                [sum(cell[i] * spec.l ** (level - 1 - k) for k, cell in enumerate(addr))
+                 for i in range(spec.d)]
+                for addr in itertools.product(spec.sorted_cells(), repeat=level)
+            ],
+            dtype=np.int64,
+        )
+        # every pair i < j at L1 (face) or Linf (vertex) distance 1, sorted
+        norm = np.sum if adjacency == "face" else np.max
+        edges = np.array(
+            [
+                (i, j)
+                for i in range(len(coords))
+                for j in i + 1 + np.flatnonzero(
+                    norm(np.abs(coords[i + 1:] - coords[i]), axis=1) == 1)
+            ],
+            dtype=np.int64,
+        )
+        top = spec.l**level - 1
+        assert g.coords.dtype == np.int64 and np.array_equal(g.coords, coords)
+        assert g.edges.dtype == np.int64 and np.array_equal(g.edges, edges)
+        assert np.array_equal(
+            g.boundary, np.flatnonzero(np.any((coords == 0) | (coords == top), axis=1))
+        )
+
+    def test_cap_checked_before_allocation(self, ms31):
+        # 20^6 = 6.4e7 cells: refused before any coordinate array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                build_graph(ms31, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestBoundary:
     def test_boundary_cells_touch_outer_faces(self, sc31):
@@ -110,7 +156,8 @@ class TestBoundary:
 
     def test_interior_complements_boundary(self, ms31):
         g = build_graph(ms31, 2)
-        interior = interior_vertices(g)
+        top = ms31.l**2 - 1
+        interior = np.flatnonzero(np.all((g.coords > 0) & (g.coords < top), axis=1))
         merged = np.sort(np.concatenate([interior, g.boundary]))
         assert np.array_equal(merged, np.arange(g.n_vertices))
 

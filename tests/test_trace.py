@@ -18,7 +18,6 @@ from carpetgas.trace import (
     default_windows,
     dominant_log_period,
     estimate_period,
-    extract_boundary_fourier,
     extract_fourier,
     fit_spectral_dimension,
     g0_extrema,
@@ -47,8 +46,6 @@ class TestHeatTraceModel:
         assert m.coefficient(0, 0) == 2.0
         assert m.coefficient(0, 3) == 0.0
         assert m.g00 == 2.0
-        assert m.k_values() == [0]
-        assert m.p_range(0) == 1
 
     def test_conjugate_symmetry_enforced(self):
         terms = [
@@ -231,27 +228,6 @@ class TestExtractFourier:
     def test_bad_period(self):
         with pytest.raises(DomainError):
             extract_fourier(self.series, 1.6, 0.0)
-
-
-class TestBoundaryFourier:
-    def test_planted_boundary_term(self):
-        grid = log_grid(math.exp(-3.0), 1.0, 2001)
-        bulk = grid ** (-1.0)
-        edge = 0.5 * grid ** (-0.5)
-        neu = WeylSeries(t=grid, K=bulk + edge)
-        dir_ = WeylSeries(t=grid, K=bulk - edge)
-        terms = extract_boundary_fourier(neu, dir_, d_s=2.0, d_w=2.0, period=1.0)
-        by_p = {t.p: t for t in terms}
-        assert all(t.k == 1 for t in terms)
-        assert by_p[0].coefficient.real == pytest.approx(0.5, abs=1e-9)
-        assert by_p[0].exponent.real == pytest.approx(0.5)
-        assert abs(by_p[1].coefficient) < 1e-9
-
-    def test_grid_mismatch(self):
-        a = WeylSeries(t=np.array([0.1, 0.2, 0.4]), K=np.ones(3))
-        b = WeylSeries(t=np.array([0.1, 0.2, 0.5]), K=np.ones(3))
-        with pytest.raises(ValueError):
-            extract_boundary_fourier(a, b, 2.0, 2.0, 1.0)
 
 
 class TestCountingRatio:
