@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from carpetgas.errors import InvalidCarpetError, MalformedSpecError
@@ -16,6 +17,7 @@ from carpetgas.geometry import (
     save_spec,
     validate_spec,
 )
+from carpetgas.graph import build_graph
 
 
 def _sc31_mask():
@@ -125,6 +127,46 @@ class TestDimensions:
         mask = frozenset((i, j) for i in range(3) for j in range(3) if (i, j) != (0, 1))
         with pytest.raises(InvalidCarpetError):
             dimension_bounds(CarpetSpec(d=2, l=3, mask=mask))
+
+
+class TestRefine:
+    """Level-n cell enumeration, which build_graph's vertex list carries."""
+
+    def test_counts(self):
+        spec = preset("SC(3,1)")
+        for level in range(1, 4):
+            assert build_graph(spec, level).n_vertices == 8**level
+
+    def test_lexicographic_and_deterministic(self):
+        spec = preset("SC(3,1)")
+        a = build_graph(spec, 2)
+        b = build_graph(spec, 2)
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.edges, b.edges)
+        # vertex v has address (cells[v // m], cells[v % m]): the first
+        # digit picks the level-1 cell, the second the sub-cell inside it
+        cells = np.array(spec.sorted_cells())
+        v = np.arange(a.n_vertices)
+        assert np.array_equal(a.coords // spec.l, cells[v // spec.m])
+        assert np.array_equal(a.coords % spec.l, cells[v % spec.m])
+
+    def test_cell_geometry(self):
+        spec = preset("SC(3,1)")
+        g = build_graph(spec, 2)
+        side = 1.0 / spec.l**2
+        assert side == pytest.approx(1.0 / 9.0)
+        cells = spec.sorted_cells()
+        # address (min cell, max cell) is vertex index(min) * m + index(max)
+        v = cells.index(min(spec.mask)) * spec.m + cells.index(max(spec.mask))
+        center = (g.coords[v] + 0.5) * side
+        assert all(0.0 < c < 1.0 for c in center)
+        # the all-zero address sits in the lower corner on every axis
+        zero = 0
+        assert tuple((g.coords[zero] + 0.5) * side) == (1.0 / 18.0, 1.0 / 18.0)
+        top = spec.l**2 - 1
+        touches = tuple((bool(c == 0), bool(c == top)) for c in g.coords[zero])
+        assert touches == ((True, False), (True, False))
+        assert zero in g.boundary
 
 
 class TestTextFormat:
