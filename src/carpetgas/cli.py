@@ -117,11 +117,19 @@ def _level(ns: argparse.Namespace) -> int:
     return ns.level
 
 
+def _spectrum_key(spec: CarpetSpec, level: int, bc: str, method: str, cap: int,
+                 budget: int) -> str:
+    """Cache key of a level spectrum: its inputs, solver options, and the
+    solver version and tolerances, so a solver change misses the cache."""
+    settings = json.dumps(eigensolve.solver_settings(), sort_keys=True)
+    return _key("spectrum", spec.spec_hash(), level, bc, method, cap, budget,
+                settings)
+
+
 def _spectrum_for(ns, spec: CarpetSpec):
     """Load the level spectrum from the cache, computing it on a miss."""
     level = _level(ns)
-    key = _key("spectrum", spec.spec_hash(), level, ns.bc, ns.method, ns.cap,
-               ns.budget)
+    key = _spectrum_key(spec, level, ns.bc, ns.method, ns.cap, ns.budget)
     path = os.path.join(_cache_dir(ns), f"spectrum-{key}.json")
     if os.path.exists(path):
         return eigensolve.load_spectrum(path), path, True
@@ -132,16 +140,27 @@ def _spectrum_for(ns, spec: CarpetSpec):
     return spectrum, path, False
 
 
-def _analysis_for(ns, spec: CarpetSpec):
-    """Trace analysis with the fitted model cached alongside the spectrum."""
+def _analysis_for(ns, spec: CarpetSpec, reuse: bool = True):
+    """Trace model of the carpet chain, cached alongside the spectrum.
+
+    The model file is keyed on the spectrum file's bytes.  With ``reuse`` a
+    cached model is read back (JSON floats round-trip exactly); otherwise,
+    or on a miss, the spectrum is analysed and the model written.  Only an
+    analysis carries d_s_stderr and the fit series.
+    """
     spectrum, spath, s_cached = _spectrum_for(ns, spec)
+    with open(spath, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     key = _key("trace", spec.spec_hash(), _level(ns), spectrum.bc,
-               spectrum.n, ns.p_max)
+               spectrum.n, ns.p_max, digest)
     mpath = os.path.join(_cache_dir(ns), f"model-{key}.json")
+    chain = dict(spectrum=spectrum, spectrum_path=spath,
+                 spectrum_cached=s_cached, model_path=mpath, key=key)
+    if reuse and os.path.exists(mpath):
+        return dict(chain, model=trace.load_model(mpath), model_cached=True)
     result = trace.analyze(spectrum, spec=spec, p_max=ns.p_max)
     trace.save_model(result["model"], mpath)
-    result.update(spectrum=spectrum, spectrum_path=spath,
-                  spectrum_cached=s_cached, model_path=mpath, key=key)
+    result.update(chain, model_cached=False)
     return result
 
 
@@ -270,6 +289,7 @@ def cmd_spectrum_compute(ns) -> int:
         "n": spectrum.n,
         "bc": spectrum.bc,
         "method": spectrum.method,
+        "blocks": spectrum.blocks,
         "num_zero_modes": spectrum.num_zero_modes,
         "lambda_max": spectrum.lambda_max,
     })
@@ -306,7 +326,7 @@ print("wrote", {png!r})
 
 def cmd_trace_analyze(ns) -> int:
     spec = _resolve_spec(ns)
-    result = _analysis_for(ns, spec)
+    result = _analysis_for(ns, spec, reuse=False)
     d_s = result["d_s"]
     model = result["model"]
     key = result["key"]
@@ -439,6 +459,7 @@ def cmd_thermo_bec(ns) -> int:
         result = _analysis_for(ns, spec)
         fitted = model = result["model"]
         chain = {"spectrum_cached": result["spectrum_cached"],
+                 "model_cached": result["model_cached"],
                  "model_artifact": result["model_path"]}
     report = thermo.bec_diagnose(spec, fitted=fitted)
     payload = {
@@ -632,7 +653,9 @@ OPTIONS = {
     "adjacency": Option("cell adjacency of the level graph", "face",
                         choices=("face", "vertex")),
     "method": Option("eigensolver", "auto", choices=("auto", "dense", "sliced")),
-    "cap": Option("dense-solver size cap", eigensolve.DENSE_CAP, type=int),
+    "cap": Option("largest matrix the dense solver takes, a symmetry block "
+                  "when the level graph has the cube's symmetry",
+                  eigensolve.DENSE_CAP, type=int),
     "budget": Option("sliced-solver slice budget", 400, type=int),
     "p_max": Option("highest Fourier index extracted", trace.P_MAX_DEFAULT,
                     type=int),

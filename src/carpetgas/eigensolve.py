@@ -2,17 +2,20 @@
 
 Dense path: LAPACK symmetric eigensolver with post-hoc verification
 (residual spot checks on small orders, trace + Sylvester-inertia
-cross-checks on large ones).  Partial path: recursive bisection on inertia
-counts with shift-invert Lanczos per slice, each slice verified against the
-inertia difference.  Inertia counts come from a SuperLU factorization
-restricted to diagonal pivots.
+cross-checks on large ones).  A level graph whose Laplacian is invariant
+under the symmetries of the cube is solved one symmetry sector at a time
+(Serre, Linear Representations of Finite Groups, section 8).  Partial path:
+recursive bisection on inertia counts with shift-invert Lanczos per slice,
+each slice verified against the inertia difference.  Inertia counts come
+from a SuperLU factorization restricted to diagonal pivots.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -21,8 +24,11 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceededError, ConvergenceError, FactorizationError
-from .graph import laplacian
+from .graph import VertexIndex, laplacian
 
+# Names the solver behaviour behind a spectrum; change it with any change to
+# the solvers that can move cached eigenvalues.
+SOLVER_VERSION = "cube-sectors-1"
 DENSE_CAP = 10_000
 # Downstream log-periodic extraction is sensitive to spectral noise; keep
 # these in one place.
@@ -31,11 +37,18 @@ RESIDUAL_RTOL = 1e-8
 # Shifts below sigma, in units of the matrix scale, tried in turn while the
 # factorization of A - sigma*I breaks down.
 INERTIA_STEPS = (0.0, 1e-9, 1e-6, 1e-3)
+# Eigenvalues at or below this count as zero modes.
+ZERO_TOL = 1e-8
 
 
 @dataclass
 class Spectrum:
-    """Sorted eigenvalues plus the provenance needed to cache them."""
+    """Sorted eigenvalues plus the provenance needed to cache them.
+
+    ``blocks`` holds the (order, multiplicity) of each symmetry block a
+    dense spectrum was solved in; it is empty when the matrix was solved
+    whole or by slices.
+    """
 
     eigenvalues: np.ndarray
     bc: str = "neumann"
@@ -44,7 +57,8 @@ class Spectrum:
     complete: bool = True
     method: str = "dense"
     interval: tuple[float, float] | None = None
-    zero_tol: float = 1e-8
+    zero_tol: float = ZERO_TOL
+    blocks: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -179,6 +193,12 @@ def _inertia_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
         raise ConvergenceError("no spectral gap wide enough for inertia check")
 
 
+def _check_trace(w: np.ndarray, tr: float) -> None:
+    s = float(np.sum(w))
+    if abs(s - tr) > RESIDUAL_RTOL * max(abs(tr), 1.0):
+        raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
+
+
 def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
     """All eigenvalues of a symmetric matrix, verified, as a Spectrum.
 
@@ -191,10 +211,7 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
         raise CapExceededError(f"order {n} exceeds dense cap {cap}")
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
     w = np.linalg.eigvalsh(dense)
-    tr = float(np.trace(dense))
-    s = float(np.sum(w))
-    if abs(s - tr) > RESIDUAL_RTOL * max(abs(tr), 1.0):
-        raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
+    _check_trace(w, float(np.trace(dense)))
     if n <= 2000:
         _residual_spot_check(dense, w)
     elif n > 2:
@@ -303,30 +320,160 @@ def _snap_kernel(laplacian_matrix: sp.spmatrix, spectrum: Spectrum) -> None:
     ev[:k] = 0.0
 
 
+def _generator_images(coords: np.ndarray, side: int):
+    """Vertex coordinates mapped by each generator of the cube's symmetry
+    group: every axis flip x_a -> side-1-x_a, the x_0 <-> x_1 swap and, for
+    d >= 3, the cyclic axis shift (the swap and the shift generate every
+    axis permutation)."""
+    d = coords.shape[1]
+    for a in range(d):
+        image = coords.copy()
+        image[:, a] = side - 1 - image[:, a]
+        yield image
+    yield coords[:, [1, 0, *range(2, d)]]
+    if d >= 3:
+        yield coords[:, [*range(1, d), 0]]
+
+
+def is_cube_symmetric(matrix: sp.spmatrix, coords: np.ndarray, side: int) -> bool:
+    """Whether every generator of the cube's symmetry group maps the vertex
+    set onto itself and leaves ``matrix`` (rows and columns in vertex order)
+    exactly unchanged."""
+    A = sp.csr_matrix(matrix)
+    index = VertexIndex(coords, side)
+    for image in _generator_images(coords, side):
+        p = index.find(image)
+        if np.any(p < 0) or (A[p][:, p] != A).nnz:
+            return False
+    return True
+
+
+def sector_basis(coords: np.ndarray, side: int, signs, parity: int = 0) -> sp.csr_matrix:
+    """Sparse orthonormal basis (vertices x k) of one symmetry sector.
+
+    ``signs[a]`` is the character (+1 or -1) of the flip of axis a.  Each
+    column is the normalised signed sum over one flip orbit, that is over the
+    vertices with one folded coordinate min(x, side-1-x); a vertex on the
+    centre line of an axis with sign -1 lies in no column.  ``parity`` (+1 or
+    -1) splits the sector further by the x_0 <-> x_1 swap, which needs
+    signs[0] == signs[1]; 0 leaves it whole.  Columns are in folded-key order.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    n, d = coords.shape
+    signs = np.asarray(signs)
+    if parity and signs[0] != signs[1]:
+        raise ValueError("the swap parity needs signs[0] == signs[1]")
+    mirror = side - 1 - coords
+    folded = np.minimum(coords, mirror)
+    centre = coords == mirror
+    keep = ~np.any(centre & (signs < 0), axis=1)
+    value = np.prod(np.where(coords > mirror, signs, 1), axis=1) \
+        / np.sqrt(2.0 ** np.count_nonzero(~centre, axis=1))
+    if parity:
+        pair = folded[:, 0] != folded[:, 1]
+        keep &= pair | (parity > 0)
+        value *= np.where(folded[:, 0] > folded[:, 1], parity, 1) \
+            / np.where(pair, math.sqrt(2.0), 1.0)
+        folded[:, :2] = np.sort(folded[:, :2], axis=1)
+    rows = np.flatnonzero(keep)
+    keys = np.ravel_multi_index(folded[rows].T, (side,) * d)
+    _, cols = np.unique(keys, return_inverse=True)
+    k = int(cols.max()) + 1 if cols.size else 0
+    return sp.csr_matrix((value[rows], (rows, cols)), shape=(n, k))
+
+
+def symmetry_sectors(d: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(signs, parity, multiplicity) of one sector per class of isospectral
+    sectors of the d-cube's symmetry group.
+
+    Flip sign patterns with the same number k of -1 signs are related by an
+    axis permutation, so their sectors share one spectrum; the class counts
+    comb(d, k) of them.  Its representative has signs[0] == signs[1] where
+    one exists, and is then split by the swap parity.
+    """
+    out = []
+    for k in range(d + 1):
+        signs = (-1,) * k + (1,) * (d - k) if k >= 2 else (1,) * (d - k) + (-1,) * k
+        mult = math.comb(d, k)
+        if signs[0] == signs[1]:
+            out += [(signs, 1, mult), (signs, -1, mult)]
+        else:
+            out.append((signs, 0, mult))
+    return out
+
+
+def _sector_eigenvalues(L: sp.csr_matrix, sectors, cap: int) -> Spectrum:
+    """All eigenvalues of L from its symmetry blocks P^T L P, each certified
+    by dense_eigenvalues; the merged spectrum is certified against L itself
+    (size, trace identity, Sylvester inertia)."""
+    parts, blocks = [], []
+    for P, mult in sectors:
+        w = dense_eigenvalues((P.T @ L @ P).tocsr(), cap=cap).eigenvalues
+        parts.append(np.tile(w, mult))
+        blocks.append((P.shape[1], mult))
+    w = np.sort(np.concatenate(parts))
+    n = L.shape[0]
+    if w.size != n:
+        raise ConvergenceError(f"symmetry blocks hold {w.size} modes, matrix order {n}")
+    _check_trace(w, float(L.diagonal().sum()))
+    if n > 2:
+        _inertia_spot_check(L, w)
+    return Spectrum(eigenvalues=w, method="dense", blocks=blocks)
+
+
+def _symmetry_blocks(graph, bc: str, L: sp.csr_matrix) -> list:
+    """(basis, multiplicity) of each sector to solve, or [] when the
+    Laplacian is not invariant under the cube's symmetry group."""
+    coords = graph.coords if bc == "neumann" else np.delete(graph.coords, graph.boundary, axis=0)
+    side = graph.spec.l**graph.level
+    if not is_cube_symmetric(L, coords, side):
+        return []
+    sectors = [(sector_basis(coords, side, signs, parity), mult)
+               for signs, parity, mult in symmetry_sectors(coords.shape[1])]
+    return [(P, mult) for P, mult in sectors if P.shape[1]]
+
+
 def compute_spectrum(graph, bc: str = "neumann", method: str = "auto",
                      cap: int = DENSE_CAP, budget: int = 400) -> Spectrum:
     """Spectrum of the level-graph Laplacian with provenance attached.
 
-    A complete Neumann spectrum carries its kernel, one mode per connected
-    component, as exact zeros.
+    The dense path solves one block per class of isospectral symmetry
+    sectors when the Laplacian is invariant under the cube's symmetry group,
+    and the whole matrix otherwise; ``cap`` bounds the largest matrix it
+    solves, and ``auto`` takes the sliced path above it.  A complete Neumann
+    spectrum carries its kernel, one mode per connected component, as exact
+    zeros.
     """
     L = laplacian(graph, bc)
-    n = L.shape[0]
+    if method not in ("auto", "dense", "sliced"):
+        raise ValueError(f"unknown method {method!r}")
+    sectors = _symmetry_blocks(graph, bc, L) if method != "sliced" else []
+    largest = max((P.shape[1] for P, _ in sectors), default=L.shape[0])
     if method == "auto":
-        method = "dense" if n <= cap else "sliced"
+        method = "dense" if largest <= cap else "sliced"
     if method == "dense":
-        spec = dense_eigenvalues(L, cap=cap)
-    elif method == "sliced":
+        spec = _sector_eigenvalues(L, sectors, cap) if sectors \
+            else dense_eigenvalues(L, cap=cap)
+    else:
         lo, hi = gershgorin_interval(L)
         spec = slice_spectrum(L, (min(lo, 0.0) - 1e-9, hi + 1.0), budget=budget)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if bc == "neumann" and spec.complete:
         _snap_kernel(L, spec)
     spec.bc = bc
     spec.level = graph.level
     spec.spec_hash = graph.spec.spec_hash()
     return spec
+
+
+def solver_settings() -> dict:
+    """The solver version and tolerances a computed spectrum depends on."""
+    return {
+        "version": SOLVER_VERSION,
+        "eig_rtol": EIG_RTOL,
+        "residual_rtol": RESIDUAL_RTOL,
+        "inertia_steps": list(INERTIA_STEPS),
+        "zero_tol": ZERO_TOL,
+    }
 
 
 def save_spectrum(spectrum: Spectrum, path: str) -> None:
@@ -339,6 +486,9 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
         "complete": spectrum.complete,
         "interval": list(spectrum.interval) if spectrum.interval else None,
         "n": spectrum.n,
+        "zero_tol": spectrum.zero_tol,
+        "blocks": spectrum.blocks,
+        "solver": solver_settings(),
     }
     payload = {"header": header, "eigenvalues": [float(x) for x in spectrum.eigenvalues]}
     tmp = path + ".tmp"
@@ -348,6 +498,8 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
 
 
 def load_spectrum(path: str) -> Spectrum:
+    """Read a save_spectrum file; headers written before the solver settings
+    and blocks were recorded load with the defaults."""
     with open(path) as fh:
         payload = json.load(fh)
     h = payload["header"]
@@ -359,4 +511,6 @@ def load_spectrum(path: str) -> Spectrum:
         complete=bool(h.get("complete", True)),
         method=h.get("method", "dense"),
         interval=tuple(h["interval"]) if h.get("interval") else None,
+        zero_tol=float(h.get("zero_tol", ZERO_TOL)),
+        blocks=[tuple(b) for b in h.get("blocks", [])],
     )

@@ -50,6 +50,23 @@ class ApproxGraph:
         return deg
 
 
+class VertexIndex:
+    """Vertex lookup by grid coordinate through sorted raveled keys."""
+
+    def __init__(self, coords: np.ndarray, side: int):
+        self.shape = (side,) * coords.shape[1]
+        keys = np.ravel_multi_index(coords.T, self.shape)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def find(self, targets: np.ndarray) -> np.ndarray:
+        """Index of the vertex at each target (rows inside the grid), -1 where
+        there is none."""
+        key = np.ravel_multi_index(targets.T, self.shape)
+        pos = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        return np.where(self.keys[pos] == key, self.order[pos], -1)
+
+
 def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> ApproxGraph:
     """Build the level-n cell graph; vertices in lexicographic address order.
 
@@ -73,10 +90,7 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
         coords = (l * coords[:, None, :] + cells[None, :, :]).reshape(-1, d)
 
     side = l**level
-    shape = (side,) * d
-    keys = np.ravel_multi_index(coords.T, shape)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    index = VertexIndex(coords, side)
     offsets = [
         off
         for off in itertools.product((-1, 0, 1), repeat=d)
@@ -86,10 +100,9 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
     for off in offsets:
         nb = coords + off
         src = np.flatnonzero(np.all((nb >= 0) & (nb < side), axis=1))
-        key = np.ravel_multi_index(nb[src].T, shape)
-        pos = np.minimum(np.searchsorted(sorted_keys, key), count - 1)
-        hit = sorted_keys[pos] == key
-        a, b = src[hit], order[pos[hit]]
+        dst = index.find(nb[src])
+        hit = dst >= 0
+        a, b = src[hit], dst[hit]
         pairs.append(np.minimum(a, b) * count + np.maximum(a, b))
     edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), count), axis=1)
 

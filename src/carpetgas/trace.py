@@ -34,6 +34,13 @@ class ModelTerm:
     exponent: complex
     coefficient: complex
 
+    def __post_init__(self):
+        # Python scalars, as load_model reads them: numpy and Python complex
+        # arithmetic can differ in the last bit, and a model read back from
+        # its cache must compute exactly what the analysed one does.
+        self.exponent = complex(self.exponent)
+        self.coefficient = complex(self.coefficient)
+
 
 @dataclass
 class HeatTraceModel:
@@ -50,6 +57,11 @@ class HeatTraceModel:
     remainder: str = "stretched-exponential"
 
     def __post_init__(self):
+        # Python floats, for the reason given in ModelTerm
+        self.period = float(self.period)
+        self.d_s = float(self.d_s)
+        if self.d_w is not None:
+            self.d_w = float(self.d_w)
         by_kp = {(t.k, t.p): t.coefficient for t in self.terms}
         for (k, p), c in by_kp.items():
             if (k, -p) in by_kp:

@@ -1,8 +1,9 @@
 """Shared fixtures: carpet presets and disk-cached level spectra.
 
 The dense eigensolves for the larger graphs (SC(3,1) level 4, MS(3,1)
-level 3) take minutes; their spectra are cached under tests/_cache so only
-the first run pays.  Delete the directory to force recomputation.
+level 3) take about 1.3 s each by symmetry blocks on a 2-core box; their
+spectra are cached under tests/_cache so only the first run pays.  Delete
+the directory to force recomputation.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import glob
 import json
 import math
 import os
@@ -12,8 +13,8 @@ import sys
 import pytest
 
 import carpetgas
-from carpetgas import eigensolve, geometry
-from carpetgas.cli import CACHE_ENV, _key, build_parser, main
+from carpetgas import eigensolve, geometry, trace
+from carpetgas.cli import CACHE_ENV, _spectrum_key, build_parser, main
 
 
 @pytest.fixture
@@ -38,8 +39,7 @@ def run_json(capsys, *args):
 
 def seed_spectrum_cache(cache_dir, spec, level, spectrum):
     """Place a spectrum where the pipeline's default-keyed lookup expects it."""
-    key = _key("spectrum", spec.spec_hash(), level, "neumann", "auto",
-               eigensolve.DENSE_CAP, 400)
+    key = _spectrum_key(spec, level, "neumann", "auto", eigensolve.DENSE_CAP, 400)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"spectrum-{key}.json")
     eigensolve.save_spectrum(spectrum, path)
@@ -110,9 +110,21 @@ class TestSpectrumStage:
         assert first["n"] == 64
         assert first["bc"] == "neumann"
         assert first["num_zero_modes"] == 1
+        assert first["blocks"] == [[10, 1], [8, 1], [16, 2], [8, 1], [6, 1]]
         second = run_json(capsys, *args)
         assert second["cached"] is True
         assert second["lambda_max"] == first["lambda_max"]
+        assert second["blocks"] == first["blocks"]
+
+    @pytest.mark.parametrize("name,value", [("SOLVER_VERSION", "other"),
+                                            ("EIG_RTOL", 1e-11),
+                                            ("INERTIA_STEPS", (0.0, 1e-9)),
+                                            ("ZERO_TOL", 1e-9)])
+    def test_solver_settings_key_the_cache(self, monkeypatch, sc31_spec, name,
+                                           value):
+        key = _spectrum_key(sc31_spec, 3, "neumann", "auto", 10_000, 400)
+        monkeypatch.setattr(eigensolve, name, value)
+        assert _spectrum_key(sc31_spec, 3, "neumann", "auto", 10_000, 400) != key
 
     def test_preseeded_cache_is_found(self, capsys, workdir, sc31_spec,
                                       sc31_l3_neumann):
@@ -163,6 +175,45 @@ class TestTraceStage:
         with open(payload["ghat_csv"]) as fh:
             ghat = list(csv.DictReader(fh))
         assert [(int(r["k"]), int(r["p"])) for r in ghat] == [(0, 0)]
+
+
+class TestModelCache:
+    def test_consumers_read_the_model_back(self, capsys, workdir, sc31_spec,
+                                           sc31_l4_neumann, monkeypatch):
+        cache = os.environ[CACHE_ENV]
+        seed_spectrum_cache(cache, sc31_spec, 4, sc31_l4_neumann)
+        args = ("--preset", "SC(3,1)", "--level", 4, "--out", workdir)
+        poles = run_json(capsys, "zeta", "poles", *args)
+        with open(poles["artifact"], "rb") as fh:
+            table = fh.read()
+        [model_path] = glob.glob(os.path.join(cache, "model-*.json"))
+        os.remove(model_path)
+        analysed = run_json(capsys, "thermo", "bec", *args)
+        assert analysed.pop("model_cached") is False
+        assert analysed["model_artifact"] == model_path
+
+        def no_analysis(*_args, **_kwargs):
+            raise AssertionError("the model cache was not read")
+
+        monkeypatch.setattr(trace, "analyze", no_analysis)
+        loaded = run_json(capsys, "thermo", "bec", *args)
+        assert loaded.pop("model_cached") is True
+        assert loaded == analysed
+        assert run_json(capsys, "zeta", "poles", *args) == poles
+        with open(poles["artifact"], "rb") as fh:
+            assert fh.read() == table
+
+    def test_model_keyed_on_spectrum_bytes(self, capsys, workdir, sc31_spec,
+                                           sc31_l4_neumann):
+        cache = os.environ[CACHE_ENV]
+        path = seed_spectrum_cache(cache, sc31_spec, 4, sc31_l4_neumann)
+        args = ("--preset", "SC(3,1)", "--level", 4, "--out", workdir)
+        first = run_json(capsys, "thermo", "bec", *args)
+        changed = eigensolve.Spectrum(sc31_l4_neumann.eigenvalues * 1.5)
+        eigensolve.save_spectrum(changed, path)
+        second = run_json(capsys, "thermo", "bec", *args)
+        assert second["model_cached"] is False
+        assert second["model_artifact"] != first["model_artifact"]
 
 
 class TestZetaStage:

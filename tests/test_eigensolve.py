@@ -1,4 +1,8 @@
-"""Eigensolvers: dense vs sliced cross-validation, inertia counts, caching."""
+"""Eigensolvers: dense vs sliced cross-validation, symmetry sectors, inertia
+counts, caching."""
+
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,17 +11,21 @@ import scipy.sparse.linalg as spla
 
 from carpetgas.eigensolve import (
     DENSE_CAP,
+    ZERO_TOL,
     Spectrum,
     compute_spectrum,
     dense_eigenvalues,
     gershgorin_interval,
     inertia_count,
+    is_cube_symmetric,
     load_spectrum,
     save_spectrum,
+    sector_basis,
     slice_spectrum,
+    solver_settings,
 )
 from carpetgas.errors import CapExceededError, FactorizationError
-from carpetgas.geometry import preset
+from carpetgas.geometry import CarpetSpec, preset, preset_names
 from carpetgas.graph import build_graph, laplacian
 
 
@@ -213,6 +221,82 @@ class TestComputeSpectrum:
             compute_spectrum(g, method="magic")
 
 
+SECTOR_CASES = ([(name, level, "neumann") for name in preset_names() for level in (1, 2)]
+                + [("SC(3,1)", 3, "neumann"), ("SC(3,1)", 3, "dirichlet"),
+                   ("MS(3,1)", 2, "dirichlet")])
+
+
+class TestSymmetrySectors:
+    @pytest.mark.parametrize("adjacency", ["face", "vertex"])
+    @pytest.mark.parametrize("name,level,bc", SECTOR_CASES,
+                             ids=[f"{n}-L{lv}-{bc}" for n, lv, bc in SECTOR_CASES])
+    def test_reduced_path_matches_whole_matrix(self, name, level, bc, adjacency):
+        g = build_graph(preset(name), level, adjacency)
+        got = compute_spectrum(g, bc=bc, method="dense")
+        want = dense_eigenvalues(laplacian(g, bc)).eigenvalues
+        assert got.blocks
+        assert sum(order * mult for order, mult in got.blocks) == want.size
+        assert got.n == want.size
+        assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * want[-1]
+
+    @pytest.mark.parametrize("broken", ["flip", "cycle"])
+    def test_asymmetric_mask_falls_back(self, broken):
+        if broken == "flip":
+            # SC(3,1) without the corner cell (2, 2): no axis flip keeps it
+            spec = CarpetSpec(d=2, l=3, mask=frozenset(preset("SC(3,1)").mask - {(2, 2)}))
+        else:
+            # two slabs x_2 in {0, 2}: every flip and the x_0 <-> x_1 swap
+            # keep it, the cyclic axis shift does not
+            spec = CarpetSpec(d=3, l=3, mask=frozenset(
+                c for c in itertools.product(range(3), repeat=3) if c[2] != 1))
+        level = 3 if spec.d == 2 else 2
+        g = build_graph(spec, level)
+        L = laplacian(g)
+        assert not is_cube_symmetric(L, g.coords, 3**level)
+        got = compute_spectrum(g, method="dense")
+        assert got.blocks == []
+        want = dense_eigenvalues(L).eigenvalues
+        assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * want[-1]
+
+    def test_perturbed_entry_pair_fails_the_check(self):
+        g = build_graph(preset("SC(3,1)"), 3)
+        L = laplacian(g).tolil()
+        assert is_cube_symmetric(L, g.coords, 27)
+        i, j = g.edges[5]
+        L[i, j] = L[j, i] = -1.5
+        assert not is_cube_symmetric(L, g.coords, 27)
+
+    def test_mixed_sign_sectors_are_isospectral(self):
+        g = build_graph(preset("SC(3,1)"), 3)
+        L = laplacian(g)
+        spectra = []
+        for signs in ((-1, 1), (1, -1)):
+            P = sector_basis(g.coords, 27, signs)
+            assert abs(P.T @ P - sp.identity(P.shape[1])).max() < 1e-14
+            spectra.append(np.linalg.eigvalsh((P.T @ L @ P).toarray()))
+        assert spectra[0].size == spectra[1].size > 0
+        assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12 * spectra[0][-1]
+
+    def test_cap_bounds_the_largest_block(self):
+        g = build_graph(preset("SC(3,1)"), 3)
+        whole = compute_spectrum(g)
+        largest = max(order for order, _ in whole.blocks)
+        assert largest < g.n_vertices
+        got = compute_spectrum(g, cap=largest)
+        assert got.method == "dense" and got.complete
+        assert got.blocks == whole.blocks
+        assert np.array_equal(got.eigenvalues, whole.eigenvalues)
+
+    def test_cap_below_the_largest_block_slices(self):
+        g = build_graph(preset("SC(3,1)"), 2)
+        dense = compute_spectrum(g)
+        largest = max(order for order, _ in dense.blocks)
+        got = compute_spectrum(g, cap=largest - 1, budget=200)
+        assert got.method == "sliced" and got.blocks == []
+        assert got.complete
+        assert np.max(np.abs(got.eigenvalues - dense.eigenvalues)) < 1e-10 * dense.lambda_max
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         src = Spectrum(
@@ -234,3 +318,27 @@ class TestSaveLoad:
         assert got.complete is False
         assert got.method == "sliced"
         assert got.interval == (-1.0, 40.0)
+        assert got.blocks == []
+
+    def test_blocks_and_solver_settings_recorded(self, tmp_path):
+        spectrum = compute_spectrum(build_graph(preset("SC(3,1)"), 2))
+        path = str(tmp_path / "spec.json")
+        save_spectrum(spectrum, path)
+        with open(path) as fh:
+            header = json.load(fh)["header"]
+        assert header["solver"] == solver_settings()
+        assert header["blocks"] == [[10, 1], [8, 1], [16, 2], [8, 1], [6, 1]]
+        assert load_spectrum(path).blocks == spectrum.blocks
+
+    def test_reads_headers_without_solver_settings(self, tmp_path):
+        # the header fields of files written before the solver settings and
+        # blocks were recorded
+        header = {"spec_hash": "abc123", "level": 2, "bc": "neumann",
+                  "method": "dense", "complete": True, "interval": None, "n": 3}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"header": header,
+                                    "eigenvalues": [0.0, 1.0, 3.0]}))
+        got = load_spectrum(str(path))
+        assert np.array_equal(got.eigenvalues, [0.0, 1.0, 3.0])
+        assert got.blocks == []
+        assert got.zero_tol == ZERO_TOL
