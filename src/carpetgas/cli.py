@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve, geometry, oracle, thermo, trace, zeta
-from .errors import DIVERGED, CarpetGasError
+from .errors import DIVERGED, CarpetGasError, DomainError
 from .geometry import CarpetSpec
 from .graph import build_graph, degree_stats, export_graph
 
@@ -334,6 +334,11 @@ def cmd_trace_analyze(ns) -> int:
 
     # Weyl-ratio samples (s, W(s)): W = N(s)/s^(d_s/2) with s = lambda/lambda_1
     x, W = trace.counting_ratio(result["spectrum"], d_s)
+    try:
+        counting_period, _ = trace.dominant_log_period(x, W)
+        counting_period_ratio = counting_period / result["period"]
+    except DomainError:  # curve too short to hold two periods
+        counting_period_ratio = None
     lines = ["s,W"]
     for xi, wi in zip(x, W):
         lines.append(f"{_f(math.exp(xi))},{_f(wi)}")
@@ -360,7 +365,7 @@ def cmd_trace_analyze(ns) -> int:
         "d_s": d_s,
         "d_s_stderr": result["d_s_stderr"],
         "period": result["period"],
-        "log_period_ratio": result["period"] / math.log(spec.m ** (2.0 / d_s)),
+        "counting_period_ratio": counting_period_ratio,
         "bounds": geometry.dimension_bounds(spec).as_dict(),
         "spectrum_cached": result["spectrum_cached"],
         "model": result["model_path"],

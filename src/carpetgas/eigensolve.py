@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceededError, ConvergenceError, FactorizationError
+from .geometry import cube_generator_images
 from .graph import VertexIndex, laplacian
 
 # Names the solver behaviour behind a spectrum; change it with any change to
@@ -320,28 +321,13 @@ def _snap_kernel(laplacian_matrix: sp.spmatrix, spectrum: Spectrum) -> None:
     ev[:k] = 0.0
 
 
-def _generator_images(coords: np.ndarray, side: int):
-    """Vertex coordinates mapped by each generator of the cube's symmetry
-    group: every axis flip x_a -> side-1-x_a, the x_0 <-> x_1 swap and, for
-    d >= 3, the cyclic axis shift (the swap and the shift generate every
-    axis permutation)."""
-    d = coords.shape[1]
-    for a in range(d):
-        image = coords.copy()
-        image[:, a] = side - 1 - image[:, a]
-        yield image
-    yield coords[:, [1, 0, *range(2, d)]]
-    if d >= 3:
-        yield coords[:, [*range(1, d), 0]]
-
-
 def is_cube_symmetric(matrix: sp.spmatrix, coords: np.ndarray, side: int) -> bool:
     """Whether every generator of the cube's symmetry group maps the vertex
     set onto itself and leaves ``matrix`` (rows and columns in vertex order)
     exactly unchanged."""
     A = sp.csr_matrix(matrix)
     index = VertexIndex(coords, side)
-    for image in _generator_images(coords, side):
+    for _, image in cube_generator_images(coords, side):
         p = index.find(image)
         if np.any(p < 0) or (A[p][:, p] != A).nnz:
             return False

@@ -3,8 +3,10 @@
 zeta(s, gamma) = Tr(-Delta + gamma)^(-s).  For Re(s) large it is a direct
 eigenvalue sum with a Weyl tail correction.  Everywhere else it is continued
 through the Mellin transform of the heat trace: the model terms integrate in
-closed form on (0, t1] and produce the pole towers, the remainder and the
-t >= t1 tail stay numeric.  Pole locations d_{k,p}/2 - n carry residues
+closed form on (0, t1] and produce the pole towers.  The t >= t1 tail of the
+trace K(t) -- an exact callable or a spectrum's own heat trace -- and, for an
+exact trace, the remainder K - model on (0, t1] are integrated on cached
+Gauss-Legendre panels.  Pole locations d_{k,p}/2 - n carry residues
 (-1)^n gamma^n G_{k,p} / (n! Gamma(d_{k,p}/2 - n)); the reciprocal-gamma
 factor makes trivial zeros at -1, -2, ... exact.
 """
@@ -20,8 +22,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .eigensolve import Spectrum
-from .specfun import gamma_reciprocal, incomplete_gamma
-from .trace import HeatTraceModel
+from .specfun import gamma_reciprocal
+from .trace import HeatTraceModel, trace_value
 
 N_MAX_DEFAULT = 20
 POLE_TOL = 1e-9
@@ -106,14 +108,15 @@ class _CachedPanels:
     """Geometric quadrature panels with the s-independent factor cached.
 
     Each panel holds Gauss-Legendre nodes of two orders; the difference of
-    the two estimates drives on-demand panel splitting (values for new
-    panels are computed once and kept for subsequent s evaluations).
+    the two estimates drives on-demand panel splitting.  A panel's values
+    are computed on its first use and kept for subsequent s evaluations, so
+    an extension that is never evaluated costs no trace evaluations.
     """
 
     def __init__(self, f, panels: list[tuple[float, float]], max_depth: int = 24):
         self.f = f
         self.max_depth = max_depth
-        self.panels = [self._make(lo, hi, 0) for lo, hi in panels]
+        self.panels = [(lo, hi, 0) for lo, hi in panels]
 
     def _make(self, lo, hi, depth):
         half = 0.5 * (hi - lo)
@@ -131,6 +134,8 @@ class _CachedPanels:
         refined: list = []
         while stack:
             panel = stack.pop()
+            if len(panel) == 3:
+                panel = self._make(*panel)
             lo, hi, depth, x15, f15, x31, f31 = panel
             half = 0.5 * (hi - lo)
             w15 = weight(x15)
@@ -140,8 +145,8 @@ class _CachedPanels:
             diff = abs(e31 - e15)
             if diff > tol and depth < self.max_depth:
                 mid = 0.5 * (lo + hi)
-                stack.append(self._make(lo, mid, depth + 1))
-                stack.append(self._make(mid, hi, depth + 1))
+                stack.append((lo, mid, depth + 1))
+                stack.append((mid, hi, depth + 1))
                 continue
             refined.append(panel)
             total += e31
@@ -160,8 +165,8 @@ class ZetaExtension:
     n_max: int
     poles: list[Pole]
     entire_part: str
-    tail_mode: str  # "spectrum" | "exact" | "none"
-    _spectrum: Spectrum | None = None
+    # quadratures of the (0, t1] remainder and the t >= t1 trace; None
+    # where that integral is taken as 0
     _i2: _CachedPanels | None = None
     _i3: _CachedPanels | None = None
     last_error: float = 0.0
@@ -197,41 +202,23 @@ class ZetaExtension:
             )
         return bracket, removable
 
-    def _i2_value(self, s: complex) -> tuple[complex, float]:
-        if self._i2 is None:
+    def _integral(self, panels: _CachedPanels | None,
+                  s: complex) -> tuple[complex, float]:
+        """int t^(s-1) e^(-gamma t) f(t) dt over ``panels``, with its error."""
+        if panels is None:
             return 0.0 + 0.0j, 0.0
         g = self.gamma
 
         def weight(t):
             return t ** (s - 1.0) * np.exp(-g * t)
 
-        return self._i2.integrate(weight, QUAD_TOL)
-
-    def _i3_value(self, s: complex) -> tuple[complex, float]:
-        if self.tail_mode == "none":
-            return 0.0 + 0.0j, 0.0
-        if self.tail_mode == "exact":
-            g = self.gamma
-
-            def weight(t):
-                return t ** (s - 1.0) * np.exp(-g * t)
-
-            return self._i3.integrate(weight, QUAD_TOL)
-        lam = self._spectrum.eigenvalues + self.gamma.real
-        x = lam * self.t1
-        keep = x <= _EXP_FLOOR
-        acc_re, acc_im = [], []
-        for mu, xi in zip(lam[keep], x[keep]):
-            v = (mu + 0.0j) ** (-s) * incomplete_gamma(s, float(xi), kind="upper")
-            acc_re.append(v.real)
-            acc_im.append(v.imag)
-        return complex(math.fsum(acc_re), math.fsum(acc_im)), 0.0
+        return panels.integrate(weight, QUAD_TOL)
 
     def evaluate(self, s: complex) -> complex:
         s = complex(s)
         bracket, removable = self._bracket_terms(s)
-        i2, e2 = self._i2_value(s)
-        i3, e3 = self._i3_value(s)
+        i2, e2 = self._integral(self._i2, s)
+        i3, e3 = self._integral(self._i3, s)
         rg = gamma_reciprocal(s)
         self.last_error = (e2 + e3 + self.n_tail_bound(s)) * abs(rg)
         return rg * (bracket + i2 + i3) + removable
@@ -271,12 +258,13 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
                     allow_truncated_tail: bool = False) -> ZetaExtension:
     """Assemble the continuation from a model plus a t >= t1 representation.
 
-    ``tail`` may be a Spectrum (tail integral becomes incomplete-gamma sums),
-    a callable t -> K(t) treated as the exact trace (remainder and tail stay
-    numeric, with cached quadrature), or None.  None means the model alone is
-    continued -- a hard truncation of the t >= t1 integral -- and must be
-    opted into with ``allow_truncated_tail`` (synthetic-model work); the pole
-    structure is unaffected by the choice.
+    ``tail`` may be a Spectrum, whose heat trace is integrated beyond t1
+    while the remainder on (0, t1] is taken as 0; a callable t -> K(t)
+    treated as the exact trace, whose remainder and tail both stay numeric;
+    or None.  Either trace goes through the same cached quadrature.  None
+    means the model alone is continued -- a hard truncation of the t >= t1
+    integral -- and must be opted into with ``allow_truncated_tail``
+    (synthetic-model work); the pole structure is unaffected by the choice.
     """
     if t1 <= 0:
         raise DomainError("split point t1 must be positive")
@@ -284,7 +272,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     poles = _build_poles(model, gamma, n_max)
     ext = ZetaExtension(
         model=model, gamma=gamma, t1=t1, n_max=n_max, poles=poles,
-        entire_part="none", tail_mode="none",
+        entire_part="none",
     )
     if tail is None:
         if not allow_truncated_tail:
@@ -294,6 +282,8 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             )
         ext.entire_part = f"hard truncation at t1={t1:g} (model-only continuation)"
         return ext
+    quadrature = f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}"
+    remainder_fn = None
     if isinstance(tail, Spectrum):
         if tail.num_zero_modes and gamma.real <= 0:
             raise DomainError(
@@ -309,58 +299,58 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
                 UserWarning,
                 stacklevel=2,
             )
-        ext.tail_mode = "spectrum"
-        ext._spectrum = tail
-        ext.entire_part = (
-            f"incomplete-gamma tail over {tail.n} modes, t1={t1:g}; "
+
+        def trace_fn(t):
+            return trace_value(tail, t)
+
+        entire_part = (
+            f"heat trace of {tail.n} modes on {quadrature}; "
             "remainder on (0, t1] taken as 0 (model is the short-time law)"
         )
-        return ext
-    if not callable(tail):
+    elif callable(tail):
+        trace_fn = tail
+
+        def remainder_fn(t):
+            k = tail(t)
+            m = model.evaluate(t).real
+            r = k - m
+            # below the rounding floor of the subtraction the remainder is
+            # not representable; treat it as zero
+            if abs(r) < 1e3 * 2.2e-16 * abs(m):
+                return 0.0
+            return r
+
+        entire_part = quadrature
+    else:
         raise DomainError(f"unsupported tail representation {type(tail)!r}")
-    # exact-trace route: remainder integral on (0, t1], trace integral beyond
-    def remainder_fn(t, _tail=tail, _model=model):
-        k = _tail(t)
-        m = _model.evaluate(t).real
-        r = k - m
-        # below the rounding floor of the subtraction the remainder is
-        # not representable; treat it as zero
-        if abs(r) < 1e3 * 2.2e-16 * abs(m):
-            return 0.0
-        return r
 
     # confirm the weighted trace decays, scanning outward from t1; a constant
     # Neumann mode with gamma = 0 never drops and is rejected
     probes = [t1 * 2.0 ** j for j in range(1, 40)]
-    for u in probes:
-        val = abs(tail(u)) * math.exp(-min(gamma.real * u, _EXP_FLOOR))
-        if val < 1e-12:
-            break
-    else:
+    weighted = [abs(trace_fn(u)) * math.exp(-min(gamma.real * u, _EXP_FLOOR))
+                for u in probes]
+    if not any(w < 1e-12 for w in weighted):
         raise DomainError(
             "trace does not decay on the tail (constant mode?); "
             "a positive gamma shift is required"
         )
-    # geometric panels toward 0 for the remainder, outward for the tail
-    lows = [t1 * 2.0 ** (-j) for j in range(41)]
-    i2_panels = [(lo, hi) for hi, lo in zip(lows[:-1], lows[1:])]
-    i2_panels.append((0.0, lows[-1]))
-    i2_panels.reverse()
-    ext._i2 = _CachedPanels(remainder_fn, i2_panels)
+    if remainder_fn is not None:
+        # geometric panels toward 0 for the remainder
+        lows = [t1 * 2.0 ** (-j) for j in range(41)]
+        i2_panels = [(lo, hi) for hi, lo in zip(lows[:-1], lows[1:])]
+        i2_panels.append((0.0, lows[-1]))
+        i2_panels.reverse()
+        ext._i2 = _CachedPanels(remainder_fn, i2_panels)
 
-    decayed = [u for u in probes
-               if abs(tail(u)) * math.exp(-min(gamma.real * u, _EXP_FLOOR)) > 1e-320]
+    # doubling panels outward from t1 to past the last probe still above
+    # the underflow floor
+    decayed = [u for u, w in zip(probes, weighted) if w > 1e-320]
     top = max(decayed[-1] * 2.0 if decayed else 2.0 * t1, 4.0 * t1)
     bounds = [t1]
     while bounds[-1] < top:
         bounds.append(bounds[-1] * 2.0)
-    i3_panels = list(zip(bounds[:-1], bounds[1:]))
-
-    ext._i3 = _CachedPanels(tail, i3_panels)
-    ext.tail_mode = "exact"
-    ext.entire_part = (
-        f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}"
-    )
+    ext._i3 = _CachedPanels(trace_fn, list(zip(bounds[:-1], bounds[1:])))
+    ext.entire_part = entire_part
     return ext
 
 

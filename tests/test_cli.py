@@ -146,8 +146,8 @@ class TestTraceStage:
                            "--level", 4, "--out", workdir)
         assert payload["spectrum_cached"] is True
         assert 1.2 < payload["d_s"] < 2.2
-        # with a known carpet the period is pinned to the cell-count law
-        assert payload["log_period_ratio"] == pytest.approx(1.0, rel=1e-12)
+        # the counting function's own period agrees with the cell-count law
+        assert abs(payload["counting_period_ratio"] - 1.0) < 0.15
 
         with open(payload["weyl_csv"]) as fh:
             rows = list(csv.DictReader(fh))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -58,6 +59,19 @@ class TestValidation:
         for name in preset_names():
             report = validate_spec(preset(name))
             assert report.ok, f"{name}: {report.details}"
+
+    @pytest.mark.parametrize("mask,generator", [
+        # SC(3,1) without the corner cell (2, 2): no axis flip keeps it
+        (preset("SC(3,1)").mask - {(2, 2)}, "flip of axis 0"),
+        # two slabs x_2 in {0, 2}: the flips and the swap keep it
+        ({c for c in itertools.product(range(3), repeat=3) if c[2] != 1},
+         "cyclic axis shift"),
+    ], ids=["flip", "cycle"])
+    def test_h1_names_the_failing_generator(self, mask, generator):
+        d = len(next(iter(mask)))
+        report = validate_spec(CarpetSpec(d=d, l=3, mask=frozenset(mask)))
+        assert not report.h1
+        assert f"H1: mask not invariant under the {generator}" in report.details
 
     def test_h1_fails_on_asymmetric_mask(self):
         mask = frozenset((i, j) for i in range(3) for j in range(3) if (i, j) != (0, 1))

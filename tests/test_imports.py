@@ -1,4 +1,5 @@
-"""Every name an import binds in a package module is used in that module."""
+"""Every name an import binds in a package module is used in that module,
+and so is every private name the module defines at top level."""
 
 import ast
 import pathlib
@@ -32,6 +33,42 @@ def test_scanner_flags_unused_and_accepts_used():
     assert unused_imports(src) == ["a (line 4)", "os (line 3)"]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` bindings (def, class or assignment) that no
+    expression in the module reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_private_scanner_flags_unread_and_accepts_read():
+    src = ("import math\n__all__ = []\n_A = 1\n_B, _C = 2, 3\nD = 4\n"
+           "def _f():\n    return _A\n"
+           "def _g():\n    return 0\n"
+           "class _K:\n    _x = 1\n"
+           "def h():\n    _local = _f()\n    return _local + _C\n")
+    assert unused_private_names(src) == ["_B (line 4)", "_K (line 10)", "_g (line 8)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unused_private_names(path.read_text()) == []

@@ -16,7 +16,7 @@ from carpetgas.oracle import (
     interval_trace_exact,
     unit_box,
 )
-from carpetgas.specfun import riemann_zeta
+from carpetgas.specfun import incomplete_gamma, riemann_zeta
 from carpetgas.trace import HeatTraceModel, ModelTerm
 from carpetgas.zeta import (
     POLE_TOL,
@@ -209,6 +209,26 @@ class TestTailRoutes:
             a = zeta_extended(ext_s, s)
             b = zeta_extended(interval_ext, s)
             assert abs(a - b) < 1e-8 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("bc,gamma", [("neumann", 1.0), ("dirichlet", 0.0)])
+    def test_spectrum_tail_matches_incomplete_gamma_sum(self, request, bc, gamma):
+        # int_t1^oo t^(s-1) e^(-gamma t) K(t) dt, mode by mode in closed form;
+        # the model (a lone Weyl term, no pole at any s below) does not enter it
+        spectrum = request.getfixturevalue(f"sc31_l3_{bc}")
+        t1 = 1.0
+        model = HeatTraceModel(terms=[ModelTerm(0, 0, complex(0.93), complex(0.1))],
+                               period=1.0, d_s=1.86)
+        ext = build_extension(model, gamma, spectrum, t1=t1)
+        mu = spectrum.eigenvalues + gamma
+        for s in (-2.3, -0.5, 0.3, 0.25 + 1.0j, 2.0):
+            terms = [complex(m) ** (-s) * incomplete_gamma(s, m * t1, kind="upper")
+                     for m in mu]
+            want = complex(math.fsum(v.real for v in terms),
+                           math.fsum(v.imag for v in terms))
+            got, _ = ext._integral(ext._i3, s)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            zeta_extended(ext, s)
+            assert math.isfinite(ext.last_error) and ext.last_error < 1e-9
 
     def test_truncated_spectrum_warns(self):
         short = box_spectrum(unit_box(1), cutoff=30.0)
