@@ -538,18 +538,22 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_thermo_sweep(ns) -> int:
     model, _tail, tag = _source(ns)
     grid = _parse_grid(SWEEP_GRIDS[ns.quantity] if ns.grid is None else ns.grid)
+    # in_window is 1 on rows inside the model path's asymptotic window, at
+    # the default domain scale L = 1
     if ns.quantity == "density":
-        lines = ["z,density"]
+        lines = ["z,density,in_window"]
+        inside = 1.0 / ns.beta >= thermo.MASSIVE_REGIME
         for z in grid:
             state = thermo.GasState(beta=ns.beta, z=float(z))
             rho = thermo.particle_density(state, model)
-            lines.append(f"{_f(z)},{_f(rho)}")
+            lines.append(f"{_f(z)},{_f(rho)},{int(inside)}")
         key = _key("sweep-density", tag, _f(ns.beta), ns.grid)
     else:
-        lines = ["beta,energy_density,pressure"]
+        lines = ["beta,energy_density,pressure,in_window"]
         for beta in grid:
             energy, pressure = thermo.blackbody(model, float(beta))
-            lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)}")
+            inside = 1.0 / beta >= thermo.MASSLESS_REGIME
+            lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)},{int(inside)}")
         key = _key("sweep-blackbody", tag, ns.grid)
     path = os.path.join(_out_dir(ns), f"sweep-{ns.quantity}-{key}.csv")
     _write_atomic(path, "\n".join(lines) + "\n")

@@ -289,6 +289,20 @@ class TestThermoStage:
         dens = [float(r["density"]) for r in rows]
         assert len(dens) == 5
         assert dens == sorted(dens)
+        # L^2/beta = 200 lies inside the massive window on every row
+        assert list(rows[0]) == ["z", "density", "in_window"]
+        assert [r["in_window"] for r in rows] == ["1"] * 5
+
+    def test_blackbody_sweep_flags_rows_outside_the_window(self, capsys, workdir):
+        with pytest.warns(UserWarning, match="below the asymptotic window"):
+            payload = run_json(capsys, "thermo", "sweep", "--ds", 3,
+                               "--quantity", "blackbody", "--out", workdir)
+        assert payload["rows"] == 10
+        with open(payload["artifact"]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["beta", "energy_density", "pressure", "in_window"]
+        # L/beta >= 10 only at beta = 0.05 and 0.1 of the default grid
+        assert [r["in_window"] for r in rows].count("0") == 8
 
     @pytest.mark.parametrize("args", [
         ("thermo", "blackbody", "--ds", 3, "--beta", 0),

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,7 +25,7 @@ from carpetgas.eigensolve import (
     slice_spectrum,
     solver_settings,
 )
-from carpetgas.errors import CapExceededError, FactorizationError
+from carpetgas.errors import CapExceededError, ConvergenceError, FactorizationError
 from carpetgas.geometry import CarpetSpec, preset, preset_names
 from carpetgas.graph import build_graph, laplacian
 
@@ -99,6 +100,37 @@ class TestDense:
 
     def test_default_cap(self):
         assert DENSE_CAP == 10_000
+
+    def test_exact_eigenvalue_shifts_lower_along_the_ladder(self):
+        # every checked shift is an exact eigenvalue, so each first factor
+        # of B - w[idx] I is exactly singular
+        spec = dense_eigenvalues(sp.diags(np.arange(20.0)))
+        np.testing.assert_array_equal(spec.eigenvalues, np.arange(20.0))
+
+    def test_trace_preserving_perturbation_rejected(self, sc31_l2_lap, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def moved(a):
+            w = eigvalsh(a)
+            w[1] += 1e-3
+            w[-1] -= 1e-3
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(ConvergenceError, match="residual"):
+            dense_eigenvalues(sc31_l2_lap)
+
+    def test_lowest_eigenvalue_perturbation_rejected(self, sc31_l2_lap, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def moved(a):
+            w = eigvalsh(a)
+            w[0] += 1e-3
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(ConvergenceError):
+            dense_eigenvalues(sc31_l2_lap)
 
 
 class TestInertia:
@@ -209,6 +241,26 @@ class TestComputeSpectrum:
         assert sliced.n == dense.n
         scale = dense.lambda_max
         assert np.max(np.abs(sliced.eigenvalues - dense.eigenvalues)) < 1e-10 * scale
+
+    def test_one_dense_solve_per_block(self, monkeypatch):
+        # the certificate must not re-solve a block: one eigvalsh call per
+        # symmetry block and no eigh call at all
+        calls = {"eigvalsh": 0, "eigh": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(np.linalg, "eigvalsh")
+        counted(scipy.linalg, "eigh")
+        spec = compute_spectrum(build_graph(preset("SC(3,1)"), 3), "neumann")
+        assert len(spec.blocks) == 5
+        assert calls == {"eigvalsh": 5, "eigh": 0}
 
     def test_neumann_kernel_is_exact_zero(self):
         s = compute_spectrum(build_graph(preset("MS(3,1)"), 2), bc="neumann")
