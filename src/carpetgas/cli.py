@@ -117,25 +117,23 @@ def _level(ns: argparse.Namespace) -> int:
     return ns.level
 
 
-def _spectrum_key(spec: CarpetSpec, level: int, bc: str, method: str, cap: int,
+def _spectrum_key(spec: CarpetSpec, level: int, bc: str, cap: int,
                  budget: int) -> str:
     """Cache key of a level spectrum: its inputs, solver options, and the
     solver version and tolerances, so a solver change misses the cache."""
     settings = json.dumps(eigensolve.solver_settings(), sort_keys=True)
-    return _key("spectrum", spec.spec_hash(), level, bc, method, cap, budget,
-                settings)
+    return _key("spectrum", spec.spec_hash(), level, bc, cap, budget, settings)
 
 
 def _spectrum_for(ns, spec: CarpetSpec):
     """Load the level spectrum from the cache, computing it on a miss."""
     level = _level(ns)
-    key = _spectrum_key(spec, level, ns.bc, ns.method, ns.cap, ns.budget)
+    key = _spectrum_key(spec, level, ns.bc, ns.cap, ns.budget)
     path = os.path.join(_cache_dir(ns), f"spectrum-{key}.json")
     if os.path.exists(path):
         return eigensolve.load_spectrum(path), path, True
     spectrum = eigensolve.compute_spectrum(build_graph(spec, level), bc=ns.bc,
-                                           method=ns.method, cap=ns.cap,
-                                           budget=ns.budget)
+                                           cap=ns.cap, budget=ns.budget)
     eigensolve.save_spectrum(spectrum, path)
     return spectrum, path, False
 
@@ -384,7 +382,7 @@ def _extension_for(ns):
     """Zeta continuation of an exact --euclid box or a carpet chain.
 
     On a carpet, gamma is 1 when the spectrum has a zero mode and t1 is
-    min(1, 35 / (lambda_max + gamma)), each unless given.
+    min(1, zeta.TAIL_DECAY / (lambda_max + gamma)), each unless given.
     """
     model, tail, tag = _source(ns)
     gamma, t1 = ns.gamma, ns.t1
@@ -392,7 +390,7 @@ def _extension_for(ns):
         if "gamma" not in ns.given and tail.num_zero_modes:
             gamma = 1.0  # Neumann zero mode needs a positive shift
         if "t1" not in ns.given:
-            t1 = min(1.0, 35.0 / (tail.lambda_max + gamma))
+            t1 = min(1.0, zeta.TAIL_DECAY / (tail.lambda_max + gamma))
     ext = zeta.build_extension(model, gamma=gamma, tail=tail, t1=t1,
                                n_max=ns.nmax)
     return ext, f"{tag}-g{_f(gamma)}-t{_f(t1)}"
@@ -661,11 +659,11 @@ OPTIONS = {
     "config": Option("JSON file with default option values; flags win"),
     "adjacency": Option("cell adjacency of the level graph", "face",
                         choices=("face", "vertex")),
-    "method": Option("eigensolver", "auto", choices=("auto", "dense", "sliced")),
-    "cap": Option("largest matrix the dense solver takes, a symmetry block "
-                  "when the level graph has the cube's symmetry",
-                  eigensolve.DENSE_CAP, type=int),
-    "budget": Option("sliced-solver slice budget", 400, type=int),
+    "cap": Option("largest matrix solved dense, a symmetry block when the "
+                  "level graph has the cube's symmetry; larger ones are "
+                  "sliced, so 0 slices", eigensolve.DENSE_CAP, type=int),
+    "budget": Option("sliced-solver slice budget", eigensolve.SLICE_BUDGET,
+                     type=int),
     "p_max": Option("highest Fourier index extracted", trace.P_MAX_DEFAULT,
                     type=int),
     "euclid": Option("use an exact Euclidean box instead of a carpet",
@@ -673,8 +671,9 @@ OPTIONS = {
     "ds": Option("flat model with this spectral dimension", type=float),
     "gamma": Option("spectral shift; a carpet with a zero mode takes 1 unless "
                     "given", 0.0, type=float),
-    "t1": Option("Mellin split point; a carpet takes min(1, 35/(lambda_max + "
-                 "gamma)) unless given", 1.0, type=float),
+    "t1": Option("Mellin split point; a carpet takes min(1, "
+                 f"{zeta.TAIL_DECAY:g}/(lambda_max + gamma)) unless given",
+                 1.0, type=float),
     "nmax": Option("expansion depth per tower", zeta.N_MAX_DEFAULT, type=int),
     "s": Option("evaluation point, complex literal"),
     "beta": Option("inverse temperature; thermo casimir adds the thermal "
@@ -688,7 +687,7 @@ OPTIONS = {
 }
 
 COMMON = ("preset", "spec", "level", "bc", "out", "config")
-SOLVER = ("method", "cap", "budget")
+SOLVER = ("cap", "budget")
 CHAIN = SOLVER + ("p_max",)
 ZETA = ("euclid",) + CHAIN + ("gamma", "t1", "nmax")
 THERMO = ("euclid", "ds") + CHAIN + ("beta",)

@@ -29,14 +29,18 @@ from .graph import VertexIndex, laplacian
 
 # Names the solver behaviour behind a spectrum; change it with any change to
 # the solvers that can move cached eigenvalues.
-SOLVER_VERSION = "cube-sectors-1"
+SOLVER_VERSION = "one-ladder-1"
 DENSE_CAP = 10_000
+# Slice solves plus bisection refinements the sliced path may spend.
+SLICE_BUDGET = 400
+# Most eigenvalues solved as one shift-invert slice; a fuller slice is bisected.
+MAX_SLICE = 64
 # Downstream log-periodic extraction is sensitive to spectral noise; keep
 # these in one place.
 EIG_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 # Shifts below sigma, in units of the matrix scale, tried in turn while the
-# factorization of A - sigma*I breaks down.
+# factorization of A - sigma*I breaks down (see _shift_ladder).
 INERTIA_STEPS = (0.0, 1e-9, 1e-6, 1e-3)
 # Eigenvalues at or below this count as zero modes.
 ZERO_TOL = 1e-8
@@ -46,9 +50,10 @@ ZERO_TOL = 1e-8
 class Spectrum:
     """Sorted eigenvalues plus the provenance needed to cache them.
 
-    ``blocks`` holds the (order, multiplicity) of each symmetry block a
-    dense spectrum was solved in; it is empty when the matrix was solved
-    whole or by slices.
+    ``method`` records the route that ran ("dense" or "sliced"; oracle box
+    spectra say "oracle-box").  ``blocks`` holds the (order, multiplicity)
+    of each symmetry block a dense spectrum was solved in; it is empty when
+    the matrix was solved whole or by slices.
     """
 
     eigenvalues: np.ndarray
@@ -58,7 +63,6 @@ class Spectrum:
     complete: bool = True
     method: str = "dense"
     interval: tuple[float, float] | None = None
-    zero_tol: float = ZERO_TOL
     blocks: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -83,14 +87,14 @@ class Spectrum:
     def lambda1(self) -> float:
         """First eigenvalue above the zero threshold."""
         ev = self.eigenvalues
-        above = ev[ev > self.zero_tol]
+        above = ev[ev > ZERO_TOL]
         if above.size == 0:
             raise ValueError("no nonzero eigenvalue in spectrum")
         return float(above[0])
 
     @property
     def num_zero_modes(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues <= self.zero_tol))
+        return int(np.count_nonzero(self.eigenvalues <= ZERO_TOL))
 
 
 def gershgorin_interval(matrix: sp.spmatrix) -> tuple[float, float]:
@@ -99,6 +103,14 @@ def gershgorin_interval(matrix: sp.spmatrix) -> tuple[float, float]:
     d = A.diagonal()
     radii = np.asarray(np.abs(A).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))
+
+
+def _shift_ladder(matrix: sp.spmatrix, sigma: float) -> tuple[float, list[float]]:
+    """The scale max(1, |sigma|, max |A_ij|) of a shift and the shifts
+    sigma - step * scale, one per INERTIA_STEPS step, to try in turn while
+    A - shift*I breaks down."""
+    scale = max(1.0, abs(sigma), float(abs(matrix).max()))
+    return scale, [sigma - step * scale for step in INERTIA_STEPS]
 
 
 def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
@@ -121,11 +133,11 @@ def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
     n = A.shape[0]
     if n != A.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, abs(sigma), float(abs(A).max()))
+    scale, shifts = _shift_ladder(A, sigma)
     floor = n * np.finfo(np.float64).eps * scale
     eye = sp.identity(n, format="csc")
-    for step in INERTIA_STEPS:
-        shifted = A - (sigma - step * scale) * eye
+    for shift in shifts:
+        shifted = A - shift * eye
         # SuperLU would pivot an exactly zero diagonal entry off the
         # diagonal, which loses the symmetric order and its sparsity.
         if not np.all(shifted.diagonal()):
@@ -151,11 +163,10 @@ def _residual_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
     # on the sparse matrix: two solves with B - w[idx]*I from a seeded random
     # start give a unit v, whose true residual and Rayleigh quotient must
     # both be close to w[idx].  A shift that is an exact eigenvalue makes the
-    # factor exactly singular; it is lowered along INERTIA_STEPS.
+    # factor exactly singular; it is lowered along the shift ladder.
     B = sp.csc_matrix(matrix)
     n = B.shape[0]
-    amax = float(abs(B).max())
-    norm = max(amax, 1.0) * n
+    norm = max(float(abs(B).max()), 1.0) * n
     idxs = list(range(min(2, n - 1) + 1))
     if n > 3:
         idxs += [n - 2, n - 1]
@@ -164,10 +175,9 @@ def _residual_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
     rng = np.random.default_rng(0)
     eye = sp.identity(n, format="csc")
     for idx in idxs:
-        unit = max(1.0, abs(w[idx]), amax)  # inertia_count's shift scale
-        for step in INERTIA_STEPS:
+        for shift in _shift_ladder(B, w[idx])[1]:
             try:
-                lu = spla.splu(B - (w[idx] - step * unit) * eye)
+                lu = spla.splu(B - shift * eye)
                 break
             except RuntimeError:  # exactly singular
                 continue
@@ -243,43 +253,43 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
 
 
 def _solve_slice(matrix, lo, hi, count, rng):
-    """Eigenvalues of ``matrix`` in [lo, hi), known to number ``count``."""
+    """Eigenvalues of ``matrix`` in [lo, hi), known to number ``count``.
+
+    Shift-invert Lanczos at the slice centre, moved down the shift ladder
+    when A - shift*I is exactly singular; a solve that misses part of the
+    slice is repeated with more Lanczos vectors at the next shift.  None
+    when no shift gives ``count`` eigenvalues in the slice.
+    """
     n = matrix.shape[0]
     if n <= 128 or count > n - 3:
         w = np.linalg.eigvalsh(matrix.toarray())
         return w[(w >= lo) & (w < hi)]
-    center = 0.5 * (lo + hi)
-    buffer = min(8, n - 2 - count)
-    k = count + max(buffer, 0)
-    for attempt in range(3):
+    k = count + max(min(8, n - 2 - count), 0)
+    for shift in _shift_ladder(matrix, 0.5 * (lo + hi))[1]:
         try:
-            vals = spla.eigsh(matrix, k=k, sigma=center, which="LM",
+            vals = spla.eigsh(matrix, k=k, sigma=shift, which="LM",
                               return_eigenvectors=False,
                               v0=rng.standard_normal(n))
-        except RuntimeError:
-            # singular shift: nudge off the eigenvalue
-            center += (1e-8 + attempt * 1e-6) * max(1.0, abs(center))
+        except RuntimeError:  # exactly singular
             continue
         inside = np.sort(vals[(vals >= lo) & (vals < hi)])
         if inside.size == count:
             return inside
-        # buffer too small to see the whole slice; widen once
-        if k < n - 2:
-            k = min(n - 2, k + count + 8)
-            continue
-        break
+        if k >= n - 2:
+            break
+        k = min(n - 2, k + count + 8)
     return None
 
 
 def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
-                   budget: int = 200, max_slice: int = 64,
-                   seed: int = 1234) -> Spectrum:
+                   budget: int = SLICE_BUDGET, seed: int = 1234) -> Spectrum:
     """All eigenvalues in [a, b) by inertia bisection + shift-invert slices.
 
-    Each slice's eigenvalue count is verified against the inertia
-    difference; on mismatch the slice is bisected further.  When ``budget``
-    (number of slice solves + bisection refinements) runs out, the result
-    carries what was resolved and is flagged incomplete.
+    A subinterval holding at most MAX_SLICE eigenvalues is solved as one
+    slice, whose eigenvalue count is verified against the inertia
+    difference; on mismatch, and above MAX_SLICE, it is bisected.  When
+    ``budget`` (number of slice solves + bisection refinements) runs out,
+    the result carries what was resolved and is flagged incomplete.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -306,7 +316,7 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
             # numerically a single (multiple) eigenvalue
             found.append(np.full(count, 0.5 * (lo + hi)))
             continue
-        if count <= max_slice:
+        if count <= MAX_SLICE:
             spent += 1
             got = _solve_slice(A, lo, hi, count, rng)
             if got is not None:
@@ -329,16 +339,15 @@ def _snap_kernel(laplacian_matrix: sp.spmatrix, spectrum: Spectrum) -> None:
 
     The kernel of a graph Laplacian is spanned by the constant vectors, one
     per connected component, so its lowest k eigenvalues are exactly 0.
-    Raises ConvergenceError unless exactly those k lie within ``zero_tol``.
+    Raises ConvergenceError unless exactly those k lie within ZERO_TOL.
     """
     k, _ = connected_components(laplacian_matrix, directed=False)
     ev = spectrum.eigenvalues
-    tol = spectrum.zero_tol
-    if ev.size < k or np.any(np.abs(ev[:k]) > tol) \
-            or (ev.size > k and ev[k] <= tol):
+    if ev.size < k or np.any(np.abs(ev[:k]) > ZERO_TOL) \
+            or (ev.size > k and ev[k] <= ZERO_TOL):
         raise ConvergenceError(
             f"{k} connected components but the lowest eigenvalues "
-            f"{ev[:k + 1].tolist()} do not hold exactly {k} within {tol:g} of 0"
+            f"{ev[:k + 1].tolist()} do not hold exactly {k} within {ZERO_TOL:g} of 0"
         )
     ev[:k] = 0.0
 
@@ -441,25 +450,22 @@ def _symmetry_blocks(graph, bc: str, L: sp.csr_matrix) -> list:
     return [(P, mult) for P, mult in sectors if P.shape[1]]
 
 
-def compute_spectrum(graph, bc: str = "neumann", method: str = "auto",
-                     cap: int = DENSE_CAP, budget: int = 400) -> Spectrum:
+def compute_spectrum(graph, bc: str = "neumann", cap: int = DENSE_CAP,
+                     budget: int = SLICE_BUDGET) -> Spectrum:
     """Spectrum of the level-graph Laplacian with provenance attached.
 
-    The dense path solves one block per class of isospectral symmetry
-    sectors when the Laplacian is invariant under the cube's symmetry group,
-    and the whole matrix otherwise; ``cap`` bounds the largest matrix it
-    solves, and ``auto`` takes the sliced path above it.  A complete Neumann
-    spectrum carries its kernel, one mode per connected component, as exact
-    zeros.
+    The route follows from the input.  When the Laplacian is invariant under
+    the cube's symmetry group it splits into one block per class of
+    isospectral symmetry sectors, and otherwise stays whole; the spectrum is
+    dense when the largest of these matrices has order at most ``cap``, and
+    sliced within ``budget`` above it, so ``cap=0`` slices.  A complete
+    Neumann spectrum carries its kernel, one mode per connected component,
+    as exact zeros.
     """
     L = laplacian(graph, bc)
-    if method not in ("auto", "dense", "sliced"):
-        raise ValueError(f"unknown method {method!r}")
-    sectors = _symmetry_blocks(graph, bc, L) if method != "sliced" else []
+    sectors = _symmetry_blocks(graph, bc, L)
     largest = max((P.shape[1] for P, _ in sectors), default=L.shape[0])
-    if method == "auto":
-        method = "dense" if largest <= cap else "sliced"
-    if method == "dense":
+    if largest <= cap:
         spec = _sector_eigenvalues(L, sectors, cap) if sectors \
             else dense_eigenvalues(L, cap=cap)
     else:
@@ -481,6 +487,7 @@ def solver_settings() -> dict:
         "residual_rtol": RESIDUAL_RTOL,
         "inertia_steps": list(INERTIA_STEPS),
         "zero_tol": ZERO_TOL,
+        "max_slice": MAX_SLICE,
     }
 
 
@@ -494,7 +501,7 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
         "complete": spectrum.complete,
         "interval": list(spectrum.interval) if spectrum.interval else None,
         "n": spectrum.n,
-        "zero_tol": spectrum.zero_tol,
+        "zero_tol": ZERO_TOL,
         "blocks": spectrum.blocks,
         "solver": solver_settings(),
     }
@@ -519,6 +526,5 @@ def load_spectrum(path: str) -> Spectrum:
         complete=bool(h.get("complete", True)),
         method=h.get("method", "dense"),
         interval=tuple(h["interval"]) if h.get("interval") else None,
-        zero_tol=float(h.get("zero_tol", ZERO_TOL)),
         blocks=[tuple(b) for b in h.get("blocks", [])],
     )

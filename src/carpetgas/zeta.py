@@ -28,6 +28,9 @@ from .trace import HeatTraceModel, trace_value
 N_MAX_DEFAULT = 20
 POLE_TOL = 1e-9
 QUAD_TOL = 1e-10
+# A spectrum tail is complete enough at t1 once (lambda_max + gamma) * t1
+# reaches this: the top mode then weighs e^-35, about 6e-16, there.
+TAIL_DECAY = 35.0
 _EXP_FLOOR = 745.0  # exp(-x) underflows past this
 
 
@@ -164,7 +167,6 @@ class ZetaExtension:
     t1: float
     n_max: int
     poles: list[Pole]
-    entire_part: str
     # quadratures of the (0, t1] remainder and the t >= t1 trace; None
     # where that integral is taken as 0
     _i2: _CachedPanels | None = None
@@ -270,19 +272,14 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
         raise DomainError("split point t1 must be positive")
     gamma = complex(gamma)
     poles = _build_poles(model, gamma, n_max)
-    ext = ZetaExtension(
-        model=model, gamma=gamma, t1=t1, n_max=n_max, poles=poles,
-        entire_part="none",
-    )
+    ext = ZetaExtension(model=model, gamma=gamma, t1=t1, n_max=n_max, poles=poles)
     if tail is None:
         if not allow_truncated_tail:
             raise DomainError(
                 "missing tail representation; pass a Spectrum, an exact-trace "
                 "callable, or allow_truncated_tail=True"
             )
-        ext.entire_part = f"hard truncation at t1={t1:g} (model-only continuation)"
         return ext
-    quadrature = f"cached Gauss-Legendre 15/31 panels, t1={t1:g}, abs tol {QUAD_TOL:g}"
     remainder_fn = None
     if isinstance(tail, Spectrum):
         if tail.num_zero_modes and gamma.real <= 0:
@@ -291,10 +288,11 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             )
         if gamma.imag != 0:
             raise DomainError("spectrum tails support real gamma only")
-        if not tail.complete and tail.n and (tail.lambda_max + gamma.real) * t1 < 35.0:
+        decay = (tail.lambda_max + gamma.real) * t1 if tail.n else math.inf
+        if not tail.complete and decay < TAIL_DECAY:
             warnings.warn(
                 "top of the spectrum still contributes at t1 "
-                f"(lambda_max * t1 = {tail.lambda_max * t1:.3g} < 35); "
+                f"((lambda_max + gamma) * t1 = {decay:.3g} < {TAIL_DECAY:g}); "
                 "a truncated mode list needs a larger t1",
                 UserWarning,
                 stacklevel=2,
@@ -302,11 +300,6 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
 
         def trace_fn(t):
             return trace_value(tail, t)
-
-        entire_part = (
-            f"heat trace of {tail.n} modes on {quadrature}; "
-            "remainder on (0, t1] taken as 0 (model is the short-time law)"
-        )
     elif callable(tail):
         trace_fn = tail
 
@@ -319,8 +312,6 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             if abs(r) < 1e3 * 2.2e-16 * abs(m):
                 return 0.0
             return r
-
-        entire_part = quadrature
     else:
         raise DomainError(f"unsupported tail representation {type(tail)!r}")
 
@@ -350,7 +341,6 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     while bounds[-1] < top:
         bounds.append(bounds[-1] * 2.0)
     ext._i3 = _CachedPanels(trace_fn, list(zip(bounds[:-1], bounds[1:])))
-    ext.entire_part = entire_part
     return ext
 
 

@@ -99,12 +99,13 @@ def test_criterion_03_waveguide_casimir_pressure(capsys):
 def test_criterion_04_sc31_level4_dense_solve(sc31_spec):
     start = time.perf_counter()
     g = build_graph(sc31_spec, 4)
-    spectrum = eigensolve.compute_spectrum(g, bc="neumann", method="dense")
+    spectrum = eigensolve.compute_spectrum(g, bc="neumann")
     elapsed = time.perf_counter() - start
     result = trace.analyze(spectrum, spec=sc31_spec)
     d_s = result["d_s"]
     bounds = geometry.dimension_bounds(sc31_spec)
-    ok = (spectrum.n == 4096 and spectrum.complete and elapsed < 600.0
+    ok = (spectrum.n == 4096 and spectrum.method == "dense" and spectrum.complete
+          and elapsed < 600.0
           and bounds.d_s_lower <= d_s <= bounds.d_s_upper)
     report(4, ok, f"n={spectrum.n}, solve {elapsed:.1f} s, d_s={d_s:.4f} in "
            f"[{bounds.d_s_lower:.4f}, {bounds.d_s_upper:.4f}]")

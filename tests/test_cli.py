@@ -39,7 +39,8 @@ def run_json(capsys, *args):
 
 def seed_spectrum_cache(cache_dir, spec, level, spectrum):
     """Place a spectrum where the pipeline's default-keyed lookup expects it."""
-    key = _spectrum_key(spec, level, "neumann", "auto", eigensolve.DENSE_CAP, 400)
+    key = _spectrum_key(spec, level, "neumann", eigensolve.DENSE_CAP,
+                        eigensolve.SLICE_BUDGET)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"spectrum-{key}.json")
     eigensolve.save_spectrum(spectrum, path)
@@ -116,15 +117,24 @@ class TestSpectrumStage:
         assert second["lambda_max"] == first["lambda_max"]
         assert second["blocks"] == first["blocks"]
 
+    def test_cap_zero_slices(self, capsys, workdir):
+        payload = run_json(capsys, "spectrum", "compute", "--preset", "SC(3,1)",
+                           "--level", 2, "--cap", 0, "--out", workdir)
+        assert payload["method"] == "sliced"
+        assert payload["blocks"] == []
+        assert payload["n"] == 64
+        assert payload["num_zero_modes"] == 1
+
     @pytest.mark.parametrize("name,value", [("SOLVER_VERSION", "other"),
                                             ("EIG_RTOL", 1e-11),
                                             ("INERTIA_STEPS", (0.0, 1e-9)),
-                                            ("ZERO_TOL", 1e-9)])
+                                            ("ZERO_TOL", 1e-9),
+                                            ("MAX_SLICE", 32)])
     def test_solver_settings_key_the_cache(self, monkeypatch, sc31_spec, name,
                                            value):
-        key = _spectrum_key(sc31_spec, 3, "neumann", "auto", 10_000, 400)
+        key = _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400)
         monkeypatch.setattr(eigensolve, name, value)
-        assert _spectrum_key(sc31_spec, 3, "neumann", "auto", 10_000, 400) != key
+        assert _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400) != key
 
     def test_preseeded_cache_is_found(self, capsys, workdir, sc31_spec,
                                       sc31_l3_neumann):
@@ -356,7 +366,7 @@ class TestConfig:
         assert json.loads(captured.err)["error"] == "DomainError"
 
     @pytest.mark.parametrize("values", [{"euclid": "torus"},
-                                        {"method": "bogus"},
+                                        {"bc": "bogus"},
                                         {"level": "3.5"}])
     def test_config_value_checked_like_its_flag(self, capsys, tmp_path,
                                                 values):
@@ -385,7 +395,7 @@ def _subparsers(parser):
 
 def test_each_subcommand_keeps_its_flags():
     common = {"--preset", "--spec", "--level", "--bc", "--out", "--config"}
-    solver = {"--method", "--cap", "--budget"}
+    solver = {"--cap", "--budget"}
     chain = solver | {"--p-max"}
     zeta = chain | {"--euclid", "--gamma", "--t1", "--nmax"}
     thermo = chain | {"--euclid", "--ds", "--beta"}

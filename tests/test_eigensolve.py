@@ -12,7 +12,6 @@ import scipy.sparse.linalg as spla
 
 from carpetgas.eigensolve import (
     DENSE_CAP,
-    ZERO_TOL,
     Spectrum,
     compute_spectrum,
     dense_eigenvalues,
@@ -58,7 +57,7 @@ class TestSpectrum:
         s = Spectrum(eigenvalues=np.array([0.0, 5e-9, 0.5, 2.0]))
         assert s.n == 4
         assert s.lambda_max == 2.0
-        # entries at or below zero_tol count as zero modes
+        # entries at or below ZERO_TOL count as zero modes
         assert s.num_zero_modes == 2
         assert s.lambda1 == 0.5
 
@@ -213,9 +212,25 @@ class TestSliceSpectrum:
 
     def test_budget_exhaustion_flags_incomplete(self, sc31_l3_lap):
         lo, hi = gershgorin_interval(sc31_l3_lap)
-        sliced = slice_spectrum(sc31_l3_lap, (lo - 1e-9, hi + 1.0), budget=1,
-                                max_slice=8)
+        sliced = slice_spectrum(sc31_l3_lap, (lo - 1e-9, hi + 1.0), budget=1)
         assert not sliced.complete
+
+    def test_slice_centred_on_an_eigenvalue(self, monkeypatch):
+        # the first shift, 10, makes A - shift*I exactly singular; eigsh
+        # raises and the slice moves one step down the shift ladder, in
+        # units of max |A_ij| = 199
+        shifts = []
+        eigsh = spla.eigsh
+
+        def logged(*args, **kwargs):
+            shifts.append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", logged)
+        sliced = slice_spectrum(sp.diags(np.arange(200.0)), (9.5, 10.5))
+        assert sliced.complete
+        np.testing.assert_array_equal(sliced.eigenvalues, [10.0])
+        assert shifts == [10.0, 10.0 - 1e-9 * 199.0]
 
     def test_empty_interval_rejected(self, sc31_l3_lap):
         with pytest.raises(ValueError):
@@ -235,8 +250,9 @@ class TestComputeSpectrum:
 
     def test_sliced_route_agrees_with_dense(self):
         g = build_graph(preset("SC(3,1)"), 2)
-        dense = compute_spectrum(g, method="dense")
-        sliced = compute_spectrum(g, method="sliced", budget=200)
+        dense = compute_spectrum(g)
+        sliced = compute_spectrum(g, cap=0, budget=200)
+        assert (dense.method, sliced.method) == ("dense", "sliced")
         assert sliced.complete
         assert sliced.n == dense.n
         scale = dense.lambda_max
@@ -267,11 +283,6 @@ class TestComputeSpectrum:
         assert s.eigenvalues[0] == 0.0
         assert s.num_zero_modes == 1
 
-    def test_unknown_method_rejected(self):
-        g = build_graph(preset("SC(3,1)"), 2)
-        with pytest.raises(ValueError):
-            compute_spectrum(g, method="magic")
-
 
 SECTOR_CASES = ([(name, level, "neumann") for name in preset_names() for level in (1, 2)]
                 + [("SC(3,1)", 3, "neumann"), ("SC(3,1)", 3, "dirichlet"),
@@ -284,7 +295,7 @@ class TestSymmetrySectors:
                              ids=[f"{n}-L{lv}-{bc}" for n, lv, bc in SECTOR_CASES])
     def test_reduced_path_matches_whole_matrix(self, name, level, bc, adjacency):
         g = build_graph(preset(name), level, adjacency)
-        got = compute_spectrum(g, bc=bc, method="dense")
+        got = compute_spectrum(g, bc=bc)
         want = dense_eigenvalues(laplacian(g, bc)).eigenvalues
         assert got.blocks
         assert sum(order * mult for order, mult in got.blocks) == want.size
@@ -305,8 +316,8 @@ class TestSymmetrySectors:
         g = build_graph(spec, level)
         L = laplacian(g)
         assert not is_cube_symmetric(L, g.coords, 3**level)
-        got = compute_spectrum(g, method="dense")
-        assert got.blocks == []
+        got = compute_spectrum(g)
+        assert got.method == "dense" and got.blocks == []
         want = dense_eigenvalues(L).eigenvalues
         assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * want[-1]
 
@@ -393,4 +404,4 @@ class TestSaveLoad:
         got = load_spectrum(str(path))
         assert np.array_equal(got.eigenvalues, [0.0, 1.0, 3.0])
         assert got.blocks == []
-        assert got.zero_tol == ZERO_TOL
+        assert got.num_zero_modes == 1

@@ -20,6 +20,7 @@ from carpetgas.specfun import incomplete_gamma, riemann_zeta
 from carpetgas.trace import HeatTraceModel, ModelTerm
 from carpetgas.zeta import (
     POLE_TOL,
+    TAIL_DECAY,
     PoleProximityWarning,
     ZetaExtension,
     build_extension,
@@ -231,14 +232,18 @@ class TestTailRoutes:
             assert math.isfinite(ext.last_error) and ext.last_error < 1e-9
 
     def test_truncated_spectrum_warns(self):
+        # lambda_max = pi^2; the warning prints (lambda_max + gamma) * t1
         short = box_spectrum(unit_box(1), cutoff=30.0)
-        with pytest.warns(UserWarning, match="larger t1"):
-            build_extension(box_model(1, bc="dirichlet"), 0.0, short, t1=0.1)
+        assert short.lambda_max == pytest.approx(math.pi ** 2)
+        with pytest.warns(UserWarning, match=r"\(lambda_max \+ gamma\) \* t1 = "
+                          r"1\.19 < 35\); a truncated mode list needs a larger t1"):
+            build_extension(box_model(1, bc="dirichlet"), 2.0, short, t1=0.1)
 
     def test_complete_spectrum_does_not_warn(self):
-        # lambda_max * t1 < 35, but a complete mode list is the whole trace
+        # (lambda_max + gamma) * t1 < TAIL_DECAY, but a complete mode list
+        # is the whole trace
         full = compute_spectrum(build_graph(preset("SC(3,1)"), 2), bc="neumann")
-        assert full.complete and (full.lambda_max + 1.0) * 1.0 < 35.0
+        assert full.complete and (full.lambda_max + 1.0) * 1.0 < TAIL_DECAY
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_extension(box_model(2, bc="neumann"), 1.0, full, t1=1.0)
