@@ -125,6 +125,11 @@ def _spectrum_key(spec: CarpetSpec, level: int, bc: str, cap: int,
     return _key("spectrum", spec.spec_hash(), level, bc, cap, budget, settings)
 
 
+def _model_key(spec: CarpetSpec, level: int, bc: str, n: int, p_max: int, digest: str) -> str:
+    """Cache key of a trace model; the analysis version keys it too."""
+    return _key("trace", spec.spec_hash(), level, bc, n, p_max, digest, trace.ANALYSIS_VERSION)
+
+
 def _spectrum_for(ns, spec: CarpetSpec):
     """Load the level spectrum from the cache, computing it on a miss."""
     level = _level(ns)
@@ -149,8 +154,7 @@ def _analysis_for(ns, spec: CarpetSpec, reuse: bool = True):
     spectrum, spath, s_cached = _spectrum_for(ns, spec)
     with open(spath, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    key = _key("trace", spec.spec_hash(), _level(ns), spectrum.bc,
-               spectrum.n, ns.p_max, digest)
+    key = _model_key(spec, _level(ns), spectrum.bc, spectrum.n, ns.p_max, digest)
     mpath = os.path.join(_cache_dir(ns), f"model-{key}.json")
     chain = dict(spectrum=spectrum, spectrum_path=spath,
                  spectrum_cached=s_cached, model_path=mpath, key=key)

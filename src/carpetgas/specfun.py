@@ -4,12 +4,11 @@ Everything here is self-contained: gamma uses the Lanczos approximation
 (Godfrey's g=607/128, 15-term coefficient set) with the reflection formula
 for Re(z) < 0.5; the Riemann zeta uses Euler-Maclaurin summation with the
 functional equation for Re(s) < 0; the polylogarithm uses the direct series
-away from z=1 and the Jonquiere expansion near it; the incomplete gammas use
-the lower series and the upper continued fraction, switched at x = Re(s)+1.
+away from z=1 and the Jonquiere expansion near it.
 
-Certified accuracy targets: 1e-12 relative for gamma/zeta on the band
-Re(s) > -10, |Im(s)| <= 50, and 1e-10 for the incomplete-gamma additivity
-identity.  The test suite checks these against a high-precision oracle.
+Certified accuracy target: 1e-12 relative for gamma/zeta on the band
+Re(s) > -10, |Im(s)| <= 50.  The test suite checks it against a
+high-precision oracle.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ __all__ = [
     "riemann_zeta",
     "polylog",
     "polylog_complex",
-    "incomplete_gamma",
 ]
-
-_EPS = 1e-16
 
 # Lanczos coefficients, g = 607/128 (Godfrey 2001).
 _LANCZOS_G = 607.0 / 128.0
@@ -210,94 +206,3 @@ def polylog(s: float, z: float) -> float:
     if s <= 1.0:
         raise DomainError(f"polylog requires s > 1, got s={s}")
     return polylog_complex(complex(s), z).real
-
-
-def _lower_gamma_series(s: complex, x: float) -> complex:
-    # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
-    term = 1.0 / s
-    acc = term
-    for n in range(1, 10000):
-        term *= x / (s + n)
-        acc += term
-        if abs(term) < _EPS * abs(acc):
-            return cmath.exp(s * math.log(x) - x) * acc
-    raise ConvergenceError(f"incomplete-gamma series stalled at s={s}, x={x}")
-
-
-def _upper_gamma_cf(s: complex, x: float) -> complex:
-    # Modified Lentz on Gamma(s,x) = x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - ...))
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for n in range(1, 10000):
-        a = -n * (n - s)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return cmath.exp(s * math.log(x) - x) * h
-    raise ConvergenceError(f"incomplete-gamma CF stalled at s={s}, x={x}")
-
-
-_EULER_GAMMA = 0.5772156649015328606
-
-
-def _upper_gamma_nonpos_int(m: int, x: float) -> complex:
-    # Gamma(s,x) is entire in s for x > 0; at s = 0 use the log series,
-    # then recur downward via Gamma(s,x) = (Gamma(s+1,x) - x^s e^-x) / s.
-    if x > 1.0:
-        return _upper_gamma_cf(complex(m), x)
-    acc = -_EULER_GAMMA - math.log(x)
-    term = 1.0
-    for k in range(1, 500):
-        term *= -x / k
-        acc -= term / k
-        if abs(term) < _EPS * k * max(1.0, abs(acc)):
-            break
-    g = complex(acc)
-    s = 0
-    while s > m:
-        s -= 1
-        g = (g - cmath.exp(s * math.log(x) - x)) / s
-    return g
-
-
-def incomplete_gamma(s: complex, x: float, kind: str = "lower") -> complex:
-    """Lower gamma(s,x) or upper Gamma(s,x) for complex s, real x >= 0.
-
-    The two kinds satisfy gamma(s,x) + Gamma(s,x) = Gamma(s); the directly
-    computed branch is chosen by the usual x vs Re(s)+1 split and the other
-    obtained from the identity.  The lower kind inherits the Gamma poles at
-    nonpositive integers; the upper kind is entire in s when x > 0.
-    """
-    if kind not in ("lower", "upper"):
-        raise DomainError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    s = complex(s)
-    if x < 0.0:
-        raise DomainError(f"incomplete gamma needs x >= 0, got {x}")
-    if _is_nonpositive_int(s):
-        if kind == "lower" or x == 0.0:
-            raise PoleError(
-                f"incomplete gamma undefined at s={s.real:g}", location=s
-            )
-        return _upper_gamma_nonpos_int(int(round(s.real)), x)
-    if x == 0.0:
-        if kind == "lower":
-            return 0.0 + 0.0j
-        if s.real <= 0.0:
-            raise DomainError("Gamma(s,0) diverges for Re(s) <= 0")
-        return gamma(s)
-    if x < s.real + 1.0:
-        lower = _lower_gamma_series(s, x)
-        return lower if kind == "lower" else gamma(s) - lower
-    upper = _upper_gamma_cf(s, x)
-    return upper if kind == "upper" else gamma(s) - upper

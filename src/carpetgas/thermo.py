@@ -151,7 +151,7 @@ def massive_log_partition(state: GasState, source) -> float:
     """
     if isinstance(source, Spectrum):
         u = _require_gaps(state, source.eigenvalues)
-        return -float(math.fsum(_log1mexp(u).tolist()))
+        return -float(np.sum(_log1mexp(u)))
     model = source
     _check_massive_regime(state)
     if state.z == 1.0 and any((t.exponent + 1.0).real <= 1.0 for t in model.terms):
@@ -173,8 +173,7 @@ def particle_density(state: GasState, source, v_s: float | None = None):
     if isinstance(source, Spectrum):
         if v_s is None:
             raise DomainError("spectrum path needs the spectral volume v_s")
-        occ = _occupations(_require_gaps(state, source.eigenvalues))
-        return float(math.fsum(occ.tolist())) / v_s
+        return float(np.sum(_occupations(_require_gaps(state, source.eigenvalues)))) / v_s
     model = source
     if state.z == 1.0 and model.d_s <= 2.0:
         return DIVERGED
@@ -318,8 +317,7 @@ def tail_density(state: GasState, spectrum: Spectrum, v_s: float, m: int):
     if not 0 <= m < spectrum.n:
         raise DomainError(f"mode index m={m} outside the spectrum")
     u = _require_gaps(state, spectrum.eigenvalues[m + 1:], f"E_{m + 1}")
-    occ = _occupations(u)
-    return float(math.fsum(occ.tolist())) / v_s
+    return float(np.sum(_occupations(u))) / v_s
 
 
 def condensate_density(state: GasState, spectrum: Spectrum, v_s: float):
@@ -435,8 +433,7 @@ def blackbody_spectrum(spectrum: Spectrum, beta: float, L: float,
     omega = np.sqrt(np.maximum(spectrum.eigenvalues, 0.0)) / L
     pos = omega > 0
     x = beta * omega[pos]
-    vals = omega[pos] / np.expm1(x)
-    return float(math.fsum(vals.tolist())) / v_s
+    return float(np.sum(omega[pos] / np.expm1(x))) / v_s
 
 
 def waveguide_trace(carpet_model: HeatTraceModel, a: float, b: float,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError
 from .eigensolve import Spectrum
 from .specfun import gamma_reciprocal
-from .trace import HeatTraceModel, trace_value
+from .trace import HeatTraceModel, trace_values
 
 N_MAX_DEFAULT = 20
 POLE_TOL = 1e-9
@@ -111,9 +111,10 @@ class _CachedPanels:
     """Geometric quadrature panels with the s-independent factor cached.
 
     Each panel holds Gauss-Legendre nodes of two orders; the difference of
-    the two estimates drives on-demand panel splitting.  A panel's values
-    are computed on its first use and kept for subsequent s evaluations, so
-    an extension that is never evaluated costs no trace evaluations.
+    the two estimates drives on-demand panel splitting.  ``f`` maps an array
+    of nodes to their values; a panel calls it once per node set on its
+    first use and keeps the values for subsequent s evaluations, so an
+    extension that is never evaluated costs no trace evaluations.
     """
 
     def __init__(self, f, panels: list[tuple[float, float]], max_depth: int = 24):
@@ -126,9 +127,7 @@ class _CachedPanels:
         mid = 0.5 * (hi + lo)
         x15 = mid + half * _GL15[0]
         x31 = mid + half * _GL31[0]
-        f15 = np.array([self.f(t) for t in x15])
-        f31 = np.array([self.f(t) for t in x31])
-        return [lo, hi, depth, x15, f15, x31, f31]
+        return [lo, hi, depth, x15, self.f(x15), x31, self.f(x31)]
 
     def integrate(self, weight, tol: float) -> tuple[complex, float]:
         total = 0.0 + 0.0j
@@ -299,28 +298,24 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             )
 
         def trace_fn(t):
-            return trace_value(tail, t)
+            return trace_values(tail.eigenvalues, t)
     elif callable(tail):
-        trace_fn = tail
+        trace_fn = np.vectorize(tail, otypes=[float])  # one t per call
 
         def remainder_fn(t):
-            k = tail(t)
             m = model.evaluate(t).real
-            r = k - m
+            r = trace_fn(t) - m
             # below the rounding floor of the subtraction the remainder is
             # not representable; treat it as zero
-            if abs(r) < 1e3 * 2.2e-16 * abs(m):
-                return 0.0
-            return r
+            return np.where(np.abs(r) < 1e3 * 2.2e-16 * np.abs(m), 0.0, r)
     else:
         raise DomainError(f"unsupported tail representation {type(tail)!r}")
 
     # confirm the weighted trace decays, scanning outward from t1; a constant
     # Neumann mode with gamma = 0 never drops and is rejected
-    probes = [t1 * 2.0 ** j for j in range(1, 40)]
-    weighted = [abs(trace_fn(u)) * math.exp(-min(gamma.real * u, _EXP_FLOOR))
-                for u in probes]
-    if not any(w < 1e-12 for w in weighted):
+    probes = t1 * 2.0 ** np.arange(1, 40)
+    weighted = np.abs(trace_fn(probes)) * np.exp(-np.minimum(gamma.real * probes, _EXP_FLOOR))
+    if not np.any(weighted < 1e-12):
         raise DomainError(
             "trace does not decay on the tail (constant mode?); "
             "a positive gamma shift is required"
@@ -335,8 +330,8 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
 
     # doubling panels outward from t1 to past the last probe still above
     # the underflow floor
-    decayed = [u for u, w in zip(probes, weighted) if w > 1e-320]
-    top = max(decayed[-1] * 2.0 if decayed else 2.0 * t1, 4.0 * t1)
+    decayed = probes[weighted > 1e-320]
+    top = max(decayed[-1] * 2.0 if decayed.size else 2.0 * t1, 4.0 * t1)
     bounds = [t1]
     while bounds[-1] < top:
         bounds.append(bounds[-1] * 2.0)
@@ -359,7 +354,7 @@ def casimir_energy(source) -> float:
     if isinstance(source, Spectrum):
         if source.n == 0:
             return 0.0
-        return 0.5 * float(math.fsum(np.sqrt(source.eigenvalues).tolist()))
+        return 0.5 * float(np.sum(np.sqrt(np.maximum(source.eigenvalues, 0.0))))
     ext = source
     if ext.gamma != 0:
         raise DomainError("Casimir energy is defined for the gamma = 0 extension")

@@ -14,7 +14,7 @@ import pytest
 
 import carpetgas
 from carpetgas import eigensolve, geometry, trace
-from carpetgas.cli import CACHE_ENV, _spectrum_key, build_parser, main
+from carpetgas.cli import CACHE_ENV, _model_key, _spectrum_key, build_parser, main
 
 
 @pytest.fixture
@@ -135,6 +135,11 @@ class TestSpectrumStage:
         key = _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400)
         monkeypatch.setattr(eigensolve, name, value)
         assert _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400) != key
+
+    def test_analysis_version_keys_the_model_cache(self, monkeypatch, sc31_spec):
+        key = _model_key(sc31_spec, 4, "neumann", 4096, 5, "0" * 64)
+        monkeypatch.setattr(trace, "ANALYSIS_VERSION", "other")
+        assert _model_key(sc31_spec, 4, "neumann", 4096, 5, "0" * 64) != key
 
     def test_preseeded_cache_is_found(self, capsys, workdir, sc31_spec,
                                       sc31_l3_neumann):

@@ -28,6 +28,7 @@ from carpetgas.trace import (
     spectral_volume,
     t_at_trace,
     trace_value,
+    trace_values,
 )
 
 
@@ -109,13 +110,29 @@ class TestHeatTrace:
         for t, k in zip(series.t, series.K):
             assert k == pytest.approx(interval_trace_exact(t), rel=1e-13)
 
-    def test_compensated_sum_matches_fsum(self):
+    def test_pairwise_sum_matches_fsum(self):
         rng = np.random.default_rng(42)
         ev = np.sort(rng.uniform(0.0, 50.0, size=50_000))
         spec = Spectrum(eigenvalues=ev)
         t = 0.1
         expect = math.fsum(math.exp(-t * x) for x in ev.tolist())
         assert trace_value(spec, t) == pytest.approx(expect, rel=1e-15)
+
+    def test_trace_values_match_fsum_on_sc31_l4(self, sc31_l4_neumann,
+                                                sc31_l4_analysis):
+        # n = 4096, on the analyze grid
+        ev = sc31_l4_neumann.eigenvalues
+        grid = sc31_l4_analysis["series"].t
+        got = trace_values(ev, grid)
+        assert got.shape == grid.shape
+        for t, k in zip(grid, got):
+            assert k == pytest.approx(math.fsum(np.exp(-t * ev).tolist()), rel=1e-15)
+
+    def test_heat_trace_agrees_with_trace_value_exactly(self, ms31_l3_neumann):
+        grid = log_grid(1e-3, 1e2, 50)
+        series = heat_trace(ms31_l3_neumann, grid)
+        for t, k in zip(grid, series.K):
+            assert k == trace_value(ms31_l3_neumann, t)
 
     def test_domain(self):
         spec = box_spectrum(unit_box(1), cutoff=1000.0)
@@ -294,6 +311,23 @@ class TestModelSummaries:
         lo, hi = g0_extrema(m)
         assert lo == pytest.approx(0.7, abs=1e-8)
         assert hi == pytest.approx(1.3, abs=1e-8)
+
+    def test_g0_extrema_match_scalar_scan(self, ms31_l3_analysis):
+        # reference: g_profile sample by sample, then the same parabolic step
+        model = ms31_l3_analysis["model"]
+        n = 10000
+        h = model.period / n
+        xs = np.linspace(0.0, model.period, n, endpoint=False)
+        re = np.array([model.g_profile(0, x).real for x in xs])
+
+        def refine(i):
+            a, b, c = re[i - 1], re[i], re[(i + 1) % n]
+            off = min(max(0.5 * (a - c) / (a - 2.0 * b + c), -1.0), 1.0)
+            return model.g_profile(0, xs[i] + off * h).real
+
+        want = (refine(int(np.argmin(re))), refine(int(np.argmax(re))))
+        for got, ref in zip(g0_extrema(model), want):
+            assert got == pytest.approx(ref, rel=1e-14)
 
     def test_save_load_round_trip(self, tmp_path):
         m = planted_model()

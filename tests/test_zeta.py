@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from carpetgas.oracle import (
     interval_trace_exact,
     unit_box,
 )
-from carpetgas.specfun import incomplete_gamma, riemann_zeta
+from carpetgas.specfun import riemann_zeta
 from carpetgas.trace import HeatTraceModel, ModelTerm
 from carpetgas.zeta import (
     POLE_TOL,
@@ -213,8 +214,9 @@ class TestTailRoutes:
 
     @pytest.mark.parametrize("bc,gamma", [("neumann", 1.0), ("dirichlet", 0.0)])
     def test_spectrum_tail_matches_incomplete_gamma_sum(self, request, bc, gamma):
-        # int_t1^oo t^(s-1) e^(-gamma t) K(t) dt, mode by mode in closed form;
-        # the model (a lone Weyl term, no pole at any s below) does not enter it
+        # int_t1^oo t^(s-1) e^(-gamma t) K(t) dt, mode by mode in closed form
+        # by mpmath's upper incomplete gamma; the model (a lone Weyl term, no
+        # pole at any s below) does not enter it
         spectrum = request.getfixturevalue(f"sc31_l3_{bc}")
         t1 = 1.0
         model = HeatTraceModel(terms=[ModelTerm(0, 0, complex(0.93), complex(0.1))],
@@ -222,7 +224,7 @@ class TestTailRoutes:
         ext = build_extension(model, gamma, spectrum, t1=t1)
         mu = spectrum.eigenvalues + gamma
         for s in (-2.3, -0.5, 0.3, 0.25 + 1.0j, 2.0):
-            terms = [complex(m) ** (-s) * incomplete_gamma(s, m * t1, kind="upper")
+            terms = [complex(m) ** (-s) * complex(mpmath.gammainc(s, m * t1))
                      for m in mu]
             want = complex(math.fsum(v.real for v in terms),
                            math.fsum(v.imag for v in terms))
@@ -262,6 +264,16 @@ class TestTailRoutes:
         with pytest.raises(DomainError):
             build_extension(box_model(1, bc="dirichlet"), 0.0, None)
 
+    def test_callable_tail_called_one_t_at_a_time(self):
+        def scalar_trace(t):
+            assert np.ndim(t) == 0
+            return interval_trace_exact(t)
+
+        ext = build_extension(box_model(1, bc="dirichlet"), 0.0, scalar_trace)
+        ref = interval_extension()
+        for s in (-0.5, 0.25 + 1.0j):
+            assert zeta_extended(ext, s) == zeta_extended(ref, s)
+
     def test_bad_tail_type(self):
         with pytest.raises(DomainError):
             build_extension(box_model(1, bc="dirichlet"), 0.0, tail=42)
@@ -297,6 +309,13 @@ class TestCasimir:
 
     def test_empty_spectrum(self):
         assert casimir_energy(Spectrum(eigenvalues=np.zeros(0))) == 0.0
+
+    def test_rounding_negative_zero_mode(self, sc31_l4_neumann):
+        # the stored spectrum's Neumann mode is -2e-15, not 0
+        ev = sc31_l4_neumann.eigenvalues
+        assert ev[0] < 0
+        want = 0.5 * math.fsum(math.sqrt(x) for x in ev[1:].tolist())
+        assert casimir_energy(sc31_l4_neumann) == pytest.approx(want, rel=1e-14)
 
     def test_gamma_shift_rejected(self):
         ext = build_extension(box_model(1, bc="dirichlet"), 1.0, None,
