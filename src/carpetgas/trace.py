@@ -8,7 +8,6 @@ and thermodynamics modules consume.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -87,12 +86,12 @@ class HeatTraceModel:
         """Model prediction of K(t) (without the remainder)."""
         return sum(term.coefficient * t ** (-term.exponent) for term in self.terms)
 
-    def g_profile(self, k: int, x: float) -> complex:
-        """G_k(x) = sum_p coefficient(k,p) e^{2 pi i p x / period}."""
-        acc = 0.0 + 0.0j
+    def g_profile(self, k: int, x):
+        """G_k(x) = sum_p coefficient(k,p) e^{2 pi i p x / period}, elementwise in x."""
+        acc = np.zeros(np.shape(x), dtype=np.complex128)
         for term in self.terms:
             if term.k == k:
-                acc += term.coefficient * cmath.exp(2j * math.pi * term.p * x / self.period)
+                acc = acc + term.coefficient * np.exp(2j * math.pi * term.p * x / self.period)
         return acc
 
 
@@ -351,8 +350,7 @@ def g0_extrema(model: HeatTraceModel, samples: int = 10000) -> tuple[float, floa
     the sampling error.
     """
     xs = np.linspace(0.0, model.period, samples, endpoint=False)
-    vals = sum(term.coefficient * np.exp(2j * math.pi * term.p * xs / model.period)
-               for term in model.terms if term.k == 0)
+    vals = model.g_profile(0, xs)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals.real)), 1e-300):
         raise DomainError("reconstructed G_0 is not real")
     re = vals.real

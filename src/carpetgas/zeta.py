@@ -354,7 +354,7 @@ def casimir_energy(source) -> float:
     if isinstance(source, Spectrum):
         if source.n == 0:
             return 0.0
-        return 0.5 * float(np.sum(np.sqrt(np.maximum(source.eigenvalues, 0.0))))
+        return 0.5 * float(np.sum(np.sqrt(source.eigenvalues)))
     ext = source
     if ext.gamma != 0:
         raise DomainError("Casimir energy is defined for the gamma = 0 extension")

@@ -312,23 +312,6 @@ class TestModelSummaries:
         assert lo == pytest.approx(0.7, abs=1e-8)
         assert hi == pytest.approx(1.3, abs=1e-8)
 
-    def test_g0_extrema_match_scalar_scan(self, ms31_l3_analysis):
-        # reference: g_profile sample by sample, then the same parabolic step
-        model = ms31_l3_analysis["model"]
-        n = 10000
-        h = model.period / n
-        xs = np.linspace(0.0, model.period, n, endpoint=False)
-        re = np.array([model.g_profile(0, x).real for x in xs])
-
-        def refine(i):
-            a, b, c = re[i - 1], re[i], re[(i + 1) % n]
-            off = min(max(0.5 * (a - c) / (a - 2.0 * b + c), -1.0), 1.0)
-            return model.g_profile(0, xs[i] + off * h).real
-
-        want = (refine(int(np.argmin(re))), refine(int(np.argmax(re))))
-        for got, ref in zip(g0_extrema(model), want):
-            assert got == pytest.approx(ref, rel=1e-14)
-
     def test_save_load_round_trip(self, tmp_path):
         m = planted_model()
         path = str(tmp_path / "model.json")

@@ -310,13 +310,6 @@ class TestCasimir:
     def test_empty_spectrum(self):
         assert casimir_energy(Spectrum(eigenvalues=np.zeros(0))) == 0.0
 
-    def test_rounding_negative_zero_mode(self, sc31_l4_neumann):
-        # the stored spectrum's Neumann mode is -2e-15, not 0
-        ev = sc31_l4_neumann.eigenvalues
-        assert ev[0] < 0
-        want = 0.5 * math.fsum(math.sqrt(x) for x in ev[1:].tolist())
-        assert casimir_energy(sc31_l4_neumann) == pytest.approx(want, rel=1e-14)
-
     def test_gamma_shift_rejected(self):
         ext = build_extension(box_model(1, bc="dirichlet"), 1.0, None,
                               allow_truncated_tail=True)
