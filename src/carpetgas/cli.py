@@ -663,11 +663,12 @@ OPTIONS = {
     "config": Option("JSON file with default option values; flags win"),
     "adjacency": Option("cell adjacency of the level graph", "face",
                         choices=("face", "vertex")),
-    "cap": Option("largest matrix solved dense, a symmetry block when the "
-                  "level graph has the cube's symmetry; larger ones are "
-                  "sliced, so 0 slices", eigensolve.DENSE_CAP, type=int),
-    "budget": Option("sliced-solver slice budget", eigensolve.SLICE_BUDGET,
-                     type=int),
+    "cap": Option("largest block solved dense, a symmetry block when the "
+                  "level graph has the cube's symmetry and else the whole "
+                  "Laplacian; larger blocks are sliced, so 0 slices",
+                  eigensolve.DENSE_CAP, type=int),
+    "budget": Option("slice budget of each sliced block",
+                     eigensolve.SLICE_BUDGET, type=int),
     "p_max": Option("highest Fourier index extracted", trace.P_MAX_DEFAULT,
                     type=int),
     "euclid": Option("use an exact Euclidean box instead of a carpet",

@@ -1,14 +1,14 @@
 """Full and partial eigensolvers for sparse symmetric matrices.
 
-Dense path: LAPACK symmetric eigensolver with post-hoc verification
-(the trace identity, plus on orders up to 2000 an inverse-iteration
-certificate of a few eigenvalues on the sparse matrix, and above that
-Sylvester-inertia cross-checks).  A level graph whose Laplacian is invariant
-under the symmetries of the cube is solved one symmetry sector at a time
-(Serre, Linear Representations of Finite Groups, section 8).  Partial path:
-recursive bisection on inertia counts with shift-invert Lanczos per slice,
-each slice verified against the inertia difference.  Inertia counts come
-from a SuperLU factorization restricted to diagonal pivots.
+compute_spectrum solves a level-graph Laplacian one block at a time: one
+block per class of symmetry sectors when the Laplacian is invariant under
+the cube's symmetries (Serre, Linear Representations of Finite Groups,
+section 8), else the whole Laplacian.  A block up to the dense cap goes to
+LAPACK, certified by the trace identity and inverse iteration on the sparse
+block; a larger one is sliced by inertia bisection with shift-invert Lanczos
+per slice, each slice checked against its inertia difference (Parlett, The
+Symmetric Eigenvalue Problem, section 3.3).  Inertia counts come from a
+SuperLU factorization restricted to diagonal pivots.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graph import VertexIndex, laplacian
 
 # Names the solver behaviour behind a spectrum; change it with any change to
 # the solvers that can move cached eigenvalues.
-SOLVER_VERSION = "one-ladder-1"
+SOLVER_VERSION = "block-loop-1"
 DENSE_CAP = 10_000
 # Slice solves plus bisection refinements the sliced path may spend.
 SLICE_BUDGET = 400
@@ -50,10 +50,11 @@ ZERO_TOL = 1e-8
 class Spectrum:
     """Sorted eigenvalues plus the provenance needed to cache them.
 
-    ``method`` records the route that ran ("dense" or "sliced"; oracle box
-    spectra say "oracle-box").  ``blocks`` holds the (order, multiplicity)
-    of each symmetry block a dense spectrum was solved in; it is empty when
-    the matrix was solved whole or by slices.
+    ``method`` records the route that ran: "dense", or "sliced" when any
+    block was sliced (oracle box spectra say "oracle-box").  ``blocks`` holds
+    the (order, multiplicity) of every block solved; a Laplacian without the
+    cube's symmetry is one block (n, 1).  ``interval`` is the window the
+    sliced blocks were solved over.
     """
 
     eigenvalues: np.ndarray
@@ -232,7 +233,8 @@ def _check_trace(w: np.ndarray, tr: float) -> None:
 
 
 def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, verified, as a Spectrum.
+    """All eigenvalues of a symmetric matrix as a Spectrum, certified by the
+    trace identity and by inverse iteration on the sparse matrix.
 
     Orders above ``cap`` are refused (cubic cost); use slice_spectrum.
     """
@@ -244,11 +246,7 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
     w = np.linalg.eigvalsh(dense)
     _check_trace(w, float(np.trace(dense)))
-    sparse = matrix if sp.issparse(matrix) else sp.csr_matrix(dense)
-    if n <= 2000:
-        _residual_spot_check(sparse, w)
-    elif n > 2:
-        _inertia_spot_check(sparse, w)
+    _residual_spot_check(matrix if sp.issparse(matrix) else sp.csr_matrix(dense), w)
     return Spectrum(eigenvalues=w, method="dense")
 
 
@@ -334,15 +332,15 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
                     interval=(a, b))
 
 
-def _snap_kernel(laplacian_matrix: sp.spmatrix, spectrum: Spectrum) -> None:
-    """Set the Neumann kernel of a complete spectrum to exact zeros.
+def _snap_kernel(laplacian_matrix: sp.spmatrix, ev: np.ndarray) -> None:
+    """Set the Neumann kernel of a complete sorted spectrum ``ev`` to exact
+    zeros, in place.
 
     The kernel of a graph Laplacian is spanned by the constant vectors, one
     per connected component, so its lowest k eigenvalues are exactly 0.
     Raises ConvergenceError unless exactly those k lie within ZERO_TOL.
     """
     k, _ = connected_components(laplacian_matrix, directed=False)
-    ev = spectrum.eigenvalues
     if ev.size < k or np.any(np.abs(ev[:k]) > ZERO_TOL) \
             or (ev.size > k and ev[k] <= ZERO_TOL):
         raise ConvergenceError(
@@ -419,32 +417,14 @@ def symmetry_sectors(d: int) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def _sector_eigenvalues(L: sp.csr_matrix, sectors, cap: int) -> Spectrum:
-    """All eigenvalues of L from its symmetry blocks P^T L P, each certified
-    by dense_eigenvalues; the merged spectrum is certified against L itself
-    (size, trace identity, Sylvester inertia)."""
-    parts, blocks = [], []
-    for P, mult in sectors:
-        w = dense_eigenvalues((P.T @ L @ P).tocsr(), cap=cap).eigenvalues
-        parts.append(np.tile(w, mult))
-        blocks.append((P.shape[1], mult))
-    w = np.sort(np.concatenate(parts))
-    n = L.shape[0]
-    if w.size != n:
-        raise ConvergenceError(f"symmetry blocks hold {w.size} modes, matrix order {n}")
-    _check_trace(w, float(L.diagonal().sum()))
-    if n > 2:
-        _inertia_spot_check(L, w)
-    return Spectrum(eigenvalues=w, method="dense", blocks=blocks)
-
-
 def _symmetry_blocks(graph, bc: str, L: sp.csr_matrix) -> list:
-    """(basis, multiplicity) of each sector to solve, or [] when the
-    Laplacian is not invariant under the cube's symmetry group."""
+    """(basis, multiplicity) of each block to solve: one per class of
+    isospectral symmetry sectors, or the whole matrix, [(identity, 1)], when
+    the Laplacian is not invariant under the cube's symmetry group."""
     coords = graph.coords if bc == "neumann" else np.delete(graph.coords, graph.boundary, axis=0)
     side = graph.spec.l**graph.level
     if not is_cube_symmetric(L, coords, side):
-        return []
+        return [(sp.identity(L.shape[0], format="csr"), 1)]
     sectors = [(sector_basis(coords, side, signs, parity), mult)
                for signs, parity, mult in symmetry_sectors(coords.shape[1])]
     return [(P, mult) for P, mult in sectors if P.shape[1]]
@@ -454,29 +434,43 @@ def compute_spectrum(graph, bc: str = "neumann", cap: int = DENSE_CAP,
                      budget: int = SLICE_BUDGET) -> Spectrum:
     """Spectrum of the level-graph Laplacian with provenance attached.
 
-    The route follows from the input.  When the Laplacian is invariant under
-    the cube's symmetry group it splits into one block per class of
-    isospectral symmetry sectors, and otherwise stays whole; the spectrum is
-    dense when the largest of these matrices has order at most ``cap``, and
-    sliced within ``budget`` above it, so ``cap=0`` slices.  A complete
-    Neumann spectrum carries its kernel, one mode per connected component,
-    as exact zeros.
+    Each block of _symmetry_blocks is solved dense when its order is at
+    most ``cap`` and sliced within ``budget`` over the Laplacian's
+    Gershgorin interval above it, so ``cap=0`` slices every block.  A
+    complete merged spectrum is certified against the Laplacian (size,
+    trace identity, Sylvester inertia) and carries a Neumann kernel, one
+    mode per connected component, as exact zeros; an incomplete one holds
+    what its slices resolved.
     """
     L = laplacian(graph, bc)
-    sectors = _symmetry_blocks(graph, bc, L)
-    largest = max((P.shape[1] for P, _ in sectors), default=L.shape[0])
-    if largest <= cap:
-        spec = _sector_eigenvalues(L, sectors, cap) if sectors \
-            else dense_eigenvalues(L, cap=cap)
-    else:
-        lo, hi = gershgorin_interval(L)
-        spec = slice_spectrum(L, (min(lo, 0.0) - 1e-9, hi + 1.0), budget=budget)
-    if bc == "neumann" and spec.complete:
-        _snap_kernel(L, spec)
-    spec.bc = bc
-    spec.level = graph.level
-    spec.spec_hash = graph.spec.spec_hash()
-    return spec
+    parts, blocks = [], []
+    interval, complete = None, True
+    for P, mult in _symmetry_blocks(graph, bc, L):
+        B = (P.T @ L @ P).tocsr()
+        if B.shape[0] <= cap:
+            w = dense_eigenvalues(B, cap=cap).eigenvalues
+        else:
+            if interval is None:
+                lo, hi = gershgorin_interval(L)
+                interval = (min(lo, 0.0) - 1e-9, hi + 1.0)
+            part = slice_spectrum(B, interval, budget=budget)
+            w, complete = part.eigenvalues, complete and part.complete
+        parts.append(np.tile(w, mult))
+        blocks.append((B.shape[0], mult))
+    w = np.sort(np.concatenate(parts))
+    n = L.shape[0]
+    if complete:
+        if w.size != n:
+            raise ConvergenceError(f"blocks hold {w.size} modes, matrix order {n}")
+        _check_trace(w, float(L.diagonal().sum()))
+        if n > 2:
+            _inertia_spot_check(L, w)
+        if bc == "neumann":
+            _snap_kernel(L, w)
+    return Spectrum(eigenvalues=w, bc=bc, level=graph.level,
+                    spec_hash=graph.spec.spec_hash(), complete=complete,
+                    method="dense" if interval is None else "sliced",
+                    interval=interval, blocks=blocks)
 
 
 def solver_settings() -> dict:

@@ -121,7 +121,7 @@ class TestSpectrumStage:
         payload = run_json(capsys, "spectrum", "compute", "--preset", "SC(3,1)",
                            "--level", 2, "--cap", 0, "--out", workdir)
         assert payload["method"] == "sliced"
-        assert payload["blocks"] == []
+        assert payload["blocks"] == [[10, 1], [8, 1], [16, 2], [8, 1], [6, 1]]
         assert payload["n"] == 64
         assert payload["num_zero_modes"] == 1
 

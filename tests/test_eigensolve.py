@@ -317,7 +317,7 @@ class TestSymmetrySectors:
         L = laplacian(g)
         assert not is_cube_symmetric(L, g.coords, 3**level)
         got = compute_spectrum(g)
-        assert got.method == "dense" and got.blocks == []
+        assert got.method == "dense" and got.blocks == [(g.n_vertices, 1)]
         want = dense_eigenvalues(L).eigenvalues
         assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * want[-1]
 
@@ -355,8 +355,28 @@ class TestSymmetrySectors:
         dense = compute_spectrum(g)
         largest = max(order for order, _ in dense.blocks)
         got = compute_spectrum(g, cap=largest - 1, budget=200)
-        assert got.method == "sliced" and got.blocks == []
+        assert got.method == "sliced" and got.blocks == dense.blocks
         assert got.complete
+        assert np.max(np.abs(got.eigenvalues - dense.eigenvalues)) < 1e-10 * dense.lambda_max
+
+    def test_sliced_block_reaches_shift_invert_lanczos(self, monkeypatch,
+                                                       sc31_l4_neumann):
+        # the 1024-order block is sliced and each slice solved by eigsh (a
+        # block of order <= 128 would be solved densely); the others stay dense
+        calls = []
+        eigsh = spla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counted)
+        dense = sc31_l4_neumann
+        largest = max(order for order, _ in dense.blocks)
+        got = compute_spectrum(build_graph(preset("SC(3,1)"), 4), cap=largest - 1)
+        assert got.method == "sliced" and got.complete
+        assert got.blocks == dense.blocks
+        assert calls
         assert np.max(np.abs(got.eigenvalues - dense.eigenvalues)) < 1e-10 * dense.lambda_max
 
 
