@@ -223,7 +223,7 @@ def cmd_carpet_info(ns) -> int:
                 "d": spec.d,
                 "l": spec.l,
                 "m": spec.m,
-                "d_h": math.log(spec.m) / math.log(spec.l),
+                "d_h": spec.d_h,
                 "ds_published": list(spec.ds_published) if spec.ds_published else None,
                 "ds_numeric": spec.ds_numeric,
             })

@@ -58,6 +58,11 @@ class CarpetSpec:
     def m(self) -> int:
         return len(self.mask)
 
+    @property
+    def d_h(self) -> float:
+        """Hausdorff dimension log m / log l."""
+        return math.log(self.m) / math.log(self.l)
+
     def sorted_cells(self) -> list[Cell]:
         return sorted(self.mask)
 
@@ -204,7 +209,6 @@ def dimension_bounds(spec: CarpetSpec, check: bool = True) -> DimensionBounds:
             raise InvalidCarpetError("; ".join(report.details) or "carpet fails H1-H4")
     m, l, d = spec.m, spec.l, spec.d
     log_m, log_l = math.log(m), math.log(l)
-    d_h = log_m / log_l
 
     rm_lo = (l**2 / m) * m  # = l^2
     rm_hi = 2.0 ** (1 - d) * l * m
@@ -218,7 +222,7 @@ def dimension_bounds(spec: CarpetSpec, check: bool = True) -> DimensionBounds:
     d_s_lower = 2.0 * log_m / math.log(rm_hi)
     d_s_upper = 2.0 * log_m / math.log(rm_lo)
     return DimensionBounds(
-        d_h=d_h,
+        d_h=spec.d_h,
         rho_lower=rm_lo / m,
         rho_upper=rm_hi / m,
         d_s_lower=d_s_lower,

@@ -25,6 +25,9 @@ FIT_WINDOW = (10.0, 0.1)
 # Fourier window is wider; projection tolerates the window edges better
 # than a slope fit and needs >= 2 whole periods.
 FOURIER_WINDOW = (4.0, 0.25)
+# Zero-padding factor of dominant_log_period's FFT: bins 1/OVERSAMPLE of
+# the unpadded spacing 1/(n dx) apart.
+OVERSAMPLE = 16
 
 
 @dataclass
@@ -199,17 +202,10 @@ def fit_spectral_dimension(series: WeylSeries,
 
 
 def estimate_period(spec, d_s: float) -> float:
-    """log R from R = m^(2/d_s); cross-checked against d_w * log l."""
+    """log R = (2/d_s) log m, which is d_w log l with d_w = 2 d_h / d_s."""
     if not 0 < d_s <= spec.d:
         raise DomainError(f"d_s={d_s!r} outside (0, {spec.d}]")
-    m = spec.m
-    log_r = (2.0 / d_s) * math.log(m)
-    d_h = math.log(m) / math.log(spec.l)
-    d_w = 2.0 * d_h / d_s
-    alt = d_w * math.log(spec.l)
-    if abs(alt - log_r) > 1e-9 * log_r:
-        raise DomainError("period identity d_w*log(l) = (2/d_s) log m violated")
-    return log_r
+    return (2.0 / d_s) * math.log(spec.m)
 
 
 def extract_fourier(series: WeylSeries, d_s: float, period: float,
@@ -287,16 +283,18 @@ def counting_ratio(spectrum: Spectrum, d_s: float, points: int = 4096,
 
 
 def dominant_log_period(x, values,
-                        period_range: tuple[float, float | None] = (0.8, None),
-                        oversample: int = 16) -> tuple[float, float]:
+                        period_range: tuple[float, float | None] = (0.8, None)
+                        ) -> tuple[float, float]:
     """Strongest periodic component of a sampled curve, period in x units.
 
     Returns (period, relative amplitude).  The samples are interpolated onto
-    a uniform grid, linearly detrended, Hann tapered, and scanned over an
-    oversampled frequency comb; relative amplitude is the peak magnitude
+    n uniform points dx apart, linearly detrended, Hann tapered, and read by
+    one rfft zero-padded to OVERSAMPLE * n, whose bins are
+    1/(OVERSAMPLE * n * dx) apart; relative amplitude is the peak magnitude
     divided by the mean of the input.  A period is only reported if it fits
     at least twice into the span (an upper range limit of None means span/2),
-    and pure power-law input stays below 1e-6 relative (no false positives).
+    a range that holds no bin is a DomainError, and pure power-law input
+    stays below 1e-6 relative (no false positives).
     """
     x = np.asarray(x, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -318,19 +316,13 @@ def dominant_log_period(x, values,
     taper = np.hanning(n)
     detr = (ws - np.polyval(coef, xs)) * taper
     norm = 2.0 / np.sum(taper)
-    f_lo, f_hi = 1.0 / p_hi, 1.0 / p_lo
-    df = 1.0 / (oversample * span)
-    count = int(min(20000, max(64, (f_hi - f_lo) / df)))
-    freqs = np.linspace(f_lo, f_hi, count)
-    best_f, best_a = freqs[0], -1.0
-    for start in range(0, count, 32):
-        chunk = freqs[start:start + 32]
-        phase = np.exp(-2j * math.pi * chunk[:, None] * xs[None, :])
-        amps = np.abs(phase @ detr) * norm
-        j = int(np.argmax(amps))
-        if amps[j] > best_a:
-            best_a, best_f = float(amps[j]), float(chunk[j])
-    return 1.0 / best_f, best_a / abs(mean) if mean else float("inf")
+    freqs = np.fft.rfftfreq(OVERSAMPLE * n, span / (n - 1))
+    band = (freqs >= 1.0 / p_hi) & (freqs <= 1.0 / p_lo)
+    if not band.any():
+        raise DomainError(f"no frequency bin in the period range ({p_lo}, {p_hi})")
+    amps = np.abs(np.fft.rfft(detr, OVERSAMPLE * n)[band]) * norm
+    j = int(np.argmax(amps))
+    return 1.0 / float(freqs[band][j]), float(amps[j]) / abs(mean) if mean else float("inf")
 
 
 def spectral_volume(model: HeatTraceModel, length: float) -> float:
@@ -383,8 +375,7 @@ def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT,
     series.window = windows["fit"]
     if spec is not None:
         period = estimate_period(spec, d_s)
-        d_h = math.log(spec.m) / math.log(spec.l)
-        d_w = 2.0 * d_h / d_s
+        d_w = 2.0 * spec.d_h / d_s
     else:
         # counting-function domain: the log-periodic factor survives there,
         # while the heat trace suppresses it by a fast-decaying Gamma factor

@@ -116,6 +116,11 @@ class TestDimensions:
         assert b.d_s_lower == pytest.approx(1.6736576739, abs=1e-9)
         assert b.d_s_upper == pytest.approx(1.8927892607, abs=1e-9)
 
+    def test_spec_d_h_is_the_bounds_d_h(self):
+        for name in preset_names():
+            spec = preset(name)
+            assert spec.d_h == dimension_bounds(spec).d_h
+
     def test_ms31_published_window(self):
         b = dimension_bounds(preset("MS(3,1)"))
         assert abs(b.d_h - math.log(20) / math.log(3)) <= 1e-14

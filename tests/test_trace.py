@@ -10,6 +10,7 @@ from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
 from carpetgas.trace import (
+    OVERSAMPLE,
     HeatTraceModel,
     ModelTerm,
     WeylSeries,
@@ -268,11 +269,13 @@ class TestCountingRatio:
 
 
 class TestDominantLogPeriod:
-    def test_planted_oscillation(self):
+    @pytest.mark.parametrize("planted", [1.0, 1.7, 2.4, 3.1])
+    def test_planted_oscillation(self, planted):
         x = np.linspace(0.0, 10.0, 2000)
-        vals = 1.0 + 0.05 * np.cos(2 * math.pi * x / 2.4)
+        vals = 1.0 + 0.05 * np.cos(2 * math.pi * x / planted)
         period, amp = dominant_log_period(x, vals)
-        assert period == pytest.approx(2.4, rel=0.02)
+        # within half a bin of the zero-padded FFT
+        assert abs(1.0 / period - 1.0 / planted) <= 0.5 / (OVERSAMPLE * 10.0)
         assert amp == pytest.approx(0.05, rel=0.1)
 
     def test_pure_power_law_stays_silent(self):
@@ -295,6 +298,10 @@ class TestDominantLogPeriod:
         x = np.linspace(0.0, 5.0, 100)
         with pytest.raises(DomainError):
             dominant_log_period(x, np.ones(100), period_range=(3.0, 2.0))
+        # the band [1/0.805, 1/0.8] falls between two bins
+        x = np.linspace(0.0, 1.61, 100)
+        with pytest.raises(DomainError):
+            dominant_log_period(x, 1.0 + 0.1 * np.cos(2 * math.pi * x / 0.8))
 
 
 class TestModelSummaries:
