@@ -542,25 +542,28 @@ def cmd_thermo_sweep(ns) -> int:
     grid = _parse_grid(SWEEP_GRIDS[ns.quantity] if ns.grid is None else ns.grid)
     # in_window is 1 on rows inside the model path's asymptotic window, at
     # the default domain scale L = 1
+    flags = []
     if ns.quantity == "density":
         lines = ["z,density,in_window"]
-        inside = 1.0 / ns.beta >= thermo.MASSIVE_REGIME
+        inside = int(1.0 / ns.beta >= thermo.MASSIVE_REGIME)
         for z in grid:
             state = thermo.GasState(beta=ns.beta, z=float(z))
             rho = thermo.particle_density(state, model)
-            lines.append(f"{_f(z)},{_f(rho)},{int(inside)}")
+            flags.append(inside)
+            lines.append(f"{_f(z)},{_f(rho)},{inside}")
         key = _key("sweep-density", tag, _f(ns.beta), ns.grid)
     else:
         lines = ["beta,energy_density,pressure,in_window"]
         for beta in grid:
             energy, pressure = thermo.blackbody(model, float(beta))
-            inside = 1.0 / beta >= thermo.MASSLESS_REGIME
-            lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)},{int(inside)}")
+            inside = int(1.0 / beta >= thermo.MASSLESS_REGIME)
+            flags.append(inside)
+            lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)},{inside}")
         key = _key("sweep-blackbody", tag, ns.grid)
     path = os.path.join(_out_dir(ns), f"sweep-{ns.quantity}-{key}.csv")
     _write_atomic(path, "\n".join(lines) + "\n")
     _emit({"stage": "thermo-sweep", "quantity": ns.quantity, "source": tag,
-           "rows": len(lines) - 1, "artifact": path})
+           "rows": len(flags), "rows_in_window": sum(flags), "artifact": path})
     return 0
 
 
@@ -729,7 +732,10 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The stage parser, built once per process: parse_args leaves it as it
+    was, every value lands on a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="carpetgas",
         description="Carpet spectra and quantum-gas thermodynamics pipeline")

@@ -19,9 +19,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+# scipy loads a subpackage on first attribute access, so scipy.sparse
+# loads on the first solve; importing Spectrum costs numpy only
+import scipy
 
 from .errors import CapExceededError, ConvergenceError, FactorizationError
 from .geometry import cube_generator_images
@@ -98,15 +98,15 @@ class Spectrum:
         return int(np.count_nonzero(self.eigenvalues <= ZERO_TOL))
 
 
-def gershgorin_interval(matrix: sp.spmatrix) -> tuple[float, float]:
+def gershgorin_interval(matrix: scipy.sparse.spmatrix) -> tuple[float, float]:
     """Closed interval containing all eigenvalues (Gershgorin discs)."""
-    A = sp.csr_matrix(matrix)
+    A = scipy.sparse.csr_matrix(matrix)
     d = A.diagonal()
     radii = np.asarray(np.abs(A).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))
 
 
-def _shift_ladder(matrix: sp.spmatrix, sigma: float) -> tuple[float, list[float]]:
+def _shift_ladder(matrix: scipy.sparse.spmatrix, sigma: float) -> tuple[float, list[float]]:
     """The scale max(1, |sigma|, max |A_ij|) of a shift and the shifts
     sigma - step * scale, one per INERTIA_STEPS step, to try in turn while
     A - shift*I breaks down."""
@@ -114,7 +114,7 @@ def _shift_ladder(matrix: sp.spmatrix, sigma: float) -> tuple[float, list[float]
     return scale, [sigma - step * scale for step in INERTIA_STEPS]
 
 
-def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
+def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
     """Number of eigenvalues of a symmetric matrix strictly below ``sigma``.
 
     Sylvester's law of inertia on a SuperLU factorization of A - sigma*I in a
@@ -130,13 +130,13 @@ def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
     eigenvalue lies in (sigma - step, sigma) for the step taken.  Raises
     FactorizationError when every shift breaks down.
     """
-    A = sp.csc_matrix(matrix)
+    A = scipy.sparse.csc_matrix(matrix)
     n = A.shape[0]
     if n != A.shape[1]:
         raise ValueError("matrix must be square")
     scale, shifts = _shift_ladder(A, sigma)
     floor = n * np.finfo(np.float64).eps * scale
-    eye = sp.identity(n, format="csc")
+    eye = scipy.sparse.identity(n, format="csc")
     for shift in shifts:
         shifted = A - shift * eye
         # SuperLU would pivot an exactly zero diagonal entry off the
@@ -144,9 +144,9 @@ def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
         if not np.all(shifted.diagonal()):
             continue
         try:
-            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=0.0,
+                                          options=dict(SymmetricMode=True))
         except RuntimeError:  # exactly singular
             continue
         d = lu.U.diagonal()
@@ -159,13 +159,13 @@ def inertia_count(matrix: sp.spmatrix, sigma: float) -> int:
     )
 
 
-def _residual_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
+def _residual_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
     # Certify a few eigenvalues of the vector-free solve by inverse iteration
     # on the sparse matrix: two solves with B - w[idx]*I from a seeded random
     # start give a unit v, whose true residual and Rayleigh quotient must
     # both be close to w[idx].  A shift that is an exact eigenvalue makes the
     # factor exactly singular; it is lowered along the shift ladder.
-    B = sp.csc_matrix(matrix)
+    B = scipy.sparse.csc_matrix(matrix)
     n = B.shape[0]
     norm = max(float(abs(B).max()), 1.0) * n
     idxs = list(range(min(2, n - 1) + 1))
@@ -174,11 +174,11 @@ def _residual_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
     if n > 8:
         idxs += [n // 2, n // 2 + 1]
     rng = np.random.default_rng(0)
-    eye = sp.identity(n, format="csc")
+    eye = scipy.sparse.identity(n, format="csc")
     for idx in idxs:
         for shift in _shift_ladder(B, w[idx])[1]:
             try:
-                lu = spla.splu(B - shift * eye)
+                lu = scipy.sparse.linalg.splu(B - shift * eye)
                 break
             except RuntimeError:  # exactly singular
                 continue
@@ -205,7 +205,7 @@ def _residual_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
             )
 
 
-def _inertia_spot_check(matrix: sp.spmatrix, w: np.ndarray) -> None:
+def _inertia_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
     # Generic shifts at the widest gaps; the strict-below count there must
     # match the index exactly.
     gaps = np.diff(w)
@@ -232,7 +232,7 @@ def _check_trace(w: np.ndarray, tr: float) -> None:
         raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
 
 
-def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
+def dense_eigenvalues(matrix: scipy.sparse.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
     """All eigenvalues of a symmetric matrix as a Spectrum, certified by the
     trace identity and by inverse iteration on the sparse matrix.
 
@@ -243,10 +243,11 @@ def dense_eigenvalues(matrix: sp.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
         raise ValueError("matrix must be square")
     if n > cap:
         raise CapExceededError(f"order {n} exceeds dense cap {cap}")
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
+    sparse = scipy.sparse.issparse(matrix)
+    dense = matrix.toarray() if sparse else np.asarray(matrix, float)
     w = np.linalg.eigvalsh(dense)
     _check_trace(w, float(np.trace(dense)))
-    _residual_spot_check(matrix if sp.issparse(matrix) else sp.csr_matrix(dense), w)
+    _residual_spot_check(matrix if sparse else scipy.sparse.csr_matrix(dense), w)
     return Spectrum(eigenvalues=w, method="dense")
 
 
@@ -265,9 +266,9 @@ def _solve_slice(matrix, lo, hi, count, rng):
     k = count + max(min(8, n - 2 - count), 0)
     for shift in _shift_ladder(matrix, 0.5 * (lo + hi))[1]:
         try:
-            vals = spla.eigsh(matrix, k=k, sigma=shift, which="LM",
-                              return_eigenvectors=False,
-                              v0=rng.standard_normal(n))
+            vals = scipy.sparse.linalg.eigsh(matrix, k=k, sigma=shift, which="LM",
+                                             return_eigenvectors=False,
+                                             v0=rng.standard_normal(n))
         except RuntimeError:  # exactly singular
             continue
         inside = np.sort(vals[(vals >= lo) & (vals < hi)])
@@ -279,7 +280,7 @@ def _solve_slice(matrix, lo, hi, count, rng):
     return None
 
 
-def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
+def slice_spectrum(matrix: scipy.sparse.spmatrix, interval: tuple[float, float],
                    budget: int = SLICE_BUDGET, seed: int = 1234) -> Spectrum:
     """All eigenvalues in [a, b) by inertia bisection + shift-invert slices.
 
@@ -292,7 +293,7 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("need a < b")
-    A = sp.csr_matrix(matrix)
+    A = scipy.sparse.csr_matrix(matrix)
     rng = np.random.default_rng(seed)
     scale = max(abs(a), abs(b), 1.0)
     width_floor = 1e-12 * scale
@@ -332,7 +333,7 @@ def slice_spectrum(matrix: sp.spmatrix, interval: tuple[float, float],
                     interval=(a, b))
 
 
-def _snap_kernel(laplacian_matrix: sp.spmatrix, ev: np.ndarray) -> None:
+def _snap_kernel(laplacian_matrix: scipy.sparse.spmatrix, ev: np.ndarray) -> None:
     """Set the Neumann kernel of a complete sorted spectrum ``ev`` to exact
     zeros, in place.
 
@@ -340,7 +341,7 @@ def _snap_kernel(laplacian_matrix: sp.spmatrix, ev: np.ndarray) -> None:
     per connected component, so its lowest k eigenvalues are exactly 0.
     Raises ConvergenceError unless exactly those k lie within ZERO_TOL.
     """
-    k, _ = connected_components(laplacian_matrix, directed=False)
+    k, _ = scipy.sparse.csgraph.connected_components(laplacian_matrix, directed=False)
     if ev.size < k or np.any(np.abs(ev[:k]) > ZERO_TOL) \
             or (ev.size > k and ev[k] <= ZERO_TOL):
         raise ConvergenceError(
@@ -350,11 +351,11 @@ def _snap_kernel(laplacian_matrix: sp.spmatrix, ev: np.ndarray) -> None:
     ev[:k] = 0.0
 
 
-def is_cube_symmetric(matrix: sp.spmatrix, coords: np.ndarray, side: int) -> bool:
+def is_cube_symmetric(matrix: scipy.sparse.spmatrix, coords: np.ndarray, side: int) -> bool:
     """Whether every generator of the cube's symmetry group maps the vertex
     set onto itself and leaves ``matrix`` (rows and columns in vertex order)
     exactly unchanged."""
-    A = sp.csr_matrix(matrix)
+    A = scipy.sparse.csr_matrix(matrix)
     index = VertexIndex(coords, side)
     for _, image in cube_generator_images(coords, side):
         p = index.find(image)
@@ -363,7 +364,8 @@ def is_cube_symmetric(matrix: sp.spmatrix, coords: np.ndarray, side: int) -> boo
     return True
 
 
-def sector_basis(coords: np.ndarray, side: int, signs, parity: int = 0) -> sp.csr_matrix:
+def sector_basis(coords: np.ndarray, side: int, signs,
+                 parity: int = 0) -> scipy.sparse.csr_matrix:
     """Sparse orthonormal basis (vertices x k) of one symmetry sector.
 
     ``signs[a]`` is the character (+1 or -1) of the flip of axis a.  Each
@@ -394,7 +396,7 @@ def sector_basis(coords: np.ndarray, side: int, signs, parity: int = 0) -> sp.cs
     keys = np.ravel_multi_index(folded[rows].T, (side,) * d)
     _, cols = np.unique(keys, return_inverse=True)
     k = int(cols.max()) + 1 if cols.size else 0
-    return sp.csr_matrix((value[rows], (rows, cols)), shape=(n, k))
+    return scipy.sparse.csr_matrix((value[rows], (rows, cols)), shape=(n, k))
 
 
 def symmetry_sectors(d: int) -> list[tuple[tuple[int, ...], int, int]]:
@@ -417,14 +419,14 @@ def symmetry_sectors(d: int) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def _symmetry_blocks(graph, bc: str, L: sp.csr_matrix) -> list:
+def _symmetry_blocks(graph, bc: str, L: scipy.sparse.csr_matrix) -> list:
     """(basis, multiplicity) of each block to solve: one per class of
     isospectral symmetry sectors, or the whole matrix, [(identity, 1)], when
     the Laplacian is not invariant under the cube's symmetry group."""
     coords = graph.coords if bc == "neumann" else np.delete(graph.coords, graph.boundary, axis=0)
     side = graph.spec.l**graph.level
     if not is_cube_symmetric(L, coords, side):
-        return [(sp.identity(L.shape[0], format="csr"), 1)]
+        return [(scipy.sparse.identity(L.shape[0], format="csr"), 1)]
     sectors = [(sector_basis(coords, side, signs, parity), mult)
                for signs, parity, mult in symmetry_sectors(coords.shape[1])]
     return [(P, mult) for P, mult in sectors if P.shape[1]]

@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+# scipy.sparse loads on the first laplacian call, not with this module
+import scipy
 
 from .errors import CapExceededError, DomainError
 from .geometry import CarpetSpec
@@ -111,7 +112,7 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
     return ApproxGraph(spec, level, coords, edges, boundary, adjacency)
 
 
-def laplacian(graph: ApproxGraph, bc: str = "neumann") -> sp.csr_matrix:
+def laplacian(graph: ApproxGraph, bc: str = "neumann") -> scipy.sparse.csr_matrix:
     """Combinatorial Laplacian; 'dirichlet' deletes outer-boundary vertices.
 
     Raises DomainError when the Dirichlet deletion empties the matrix (all
@@ -121,8 +122,8 @@ def laplacian(graph: ApproxGraph, bc: str = "neumann") -> sp.csr_matrix:
     rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     data = np.full(rows.shape[0], -1.0)
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    lap = sp.diags(graph.degrees().astype(float)) + adj
+    adj = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    lap = scipy.sparse.diags(graph.degrees().astype(float)) + adj
     if bc == "neumann":
         return lap.tocsr()
     if bc == "dirichlet":

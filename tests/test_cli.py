@@ -15,6 +15,7 @@ import pytest
 import carpetgas
 from carpetgas import eigensolve, geometry, trace
 from carpetgas.cli import CACHE_ENV, _model_key, _spectrum_key, build_parser, main
+from carpetgas.graph import build_graph
 
 
 @pytest.fixture
@@ -299,6 +300,7 @@ class TestThermoStage:
                            "--quantity", "density", "--beta", 0.005,
                            "--grid", "0.1:0.9:5", "--out", workdir)
         assert payload["rows"] == 5
+        assert payload["rows_in_window"] == 5
         with open(payload["artifact"]) as fh:
             rows = list(csv.DictReader(fh))
         dens = [float(r["density"]) for r in rows]
@@ -318,6 +320,28 @@ class TestThermoStage:
         assert list(rows[0]) == ["beta", "energy_density", "pressure", "in_window"]
         # L/beta >= 10 only at beta = 0.05 and 0.1 of the default grid
         assert [r["in_window"] for r in rows].count("0") == 8
+        assert payload["rows_in_window"] == 2
+
+    def test_reused_parser_carries_no_value_between_calls(self, capsys,
+                                                          workdir, tmp_path):
+        assert build_parser() is build_parser()
+        sweep = ("thermo", "sweep", "--ds", 2.5)
+        with pytest.warns(UserWarning, match="below the asymptotic window"):
+            half = run_json(capsys, *sweep, "--beta", 0.5, "--out", workdir)
+            default = run_json(capsys, *sweep, "--out", workdir)
+            explicit = run_json(capsys, *sweep, "--beta", 1,
+                                "--out", tmp_path / "explicit")
+        # the default beta = 1 gives L^2/beta = 1, outside the massive window
+        assert default["rows"] == 19
+        assert default["rows_in_window"] == 0
+        name = os.path.basename(default["artifact"])
+        assert name == os.path.basename(explicit["artifact"])
+        assert name != os.path.basename(half["artifact"])
+        texts = []
+        for payload in (default, explicit, half):
+            with open(payload["artifact"]) as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1] != texts[2]
 
     @pytest.mark.parametrize("args", [
         ("thermo", "blackbody", "--ds", 3, "--beta", 0),
@@ -443,6 +467,55 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_scipy_sparse_out(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, carpetgas, carpetgas.cli; "
+         "print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=_source_tree_env(tmp_path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# Run a stage the way the pip-generated launcher does, then report whether
+# scipy.sparse was loaded on the way.
+_LAUNCH_AND_REPORT = ("import sys; from carpetgas.cli import main; code = main(); "
+                      "print('scipy.sparse' in sys.modules); sys.exit(code)")
+
+
+@pytest.mark.parametrize("args", [
+    ("zeta", "eval", "--euclid", "interval", "--s", "-0.5"),
+    ("thermo", "sweep", "--ds", "2.5"),
+    ("trace", "analyze", "--preset", "SC(3,1)", "--level", "4"),
+], ids=["zeta-eval", "thermo-sweep", "trace-analyze"])
+def test_warm_stage_leaves_scipy_sparse_out(tmp_path, sc31_spec,
+                                            sc31_l4_neumann, args):
+    env = _source_tree_env(tmp_path)
+    seed_spectrum_cache(env[CACHE_ENV], sc31_spec, 4, sc31_l4_neumann)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH_AND_REPORT, *args,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_spectrum_compute_loads_the_solver_out_of_process(tmp_path, sc31_spec):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH_AND_REPORT, "spectrum", "compute",
+         "--preset", "SC(3,1)", "--level", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_source_tree_env(tmp_path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *lines, loaded = proc.stdout.splitlines()
+    assert loaded == "True"
+    payload = json.loads("\n".join(lines))
+    assert payload["cached"] is False
+    got = eigensolve.load_spectrum(payload["artifact"]).eigenvalues
+    want = eigensolve.compute_spectrum(build_graph(sc31_spec, 2)).eigenvalues
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(shutil.which("carpetgas") is None,
