@@ -117,12 +117,11 @@ def _level(ns: argparse.Namespace) -> int:
     return ns.level
 
 
-def _spectrum_key(spec: CarpetSpec, level: int, bc: str, cap: int,
-                 budget: int) -> str:
-    """Cache key of a level spectrum: its inputs, solver options, and the
-    solver version and tolerances, so a solver change misses the cache."""
+def _spectrum_key(spec: CarpetSpec, level: int, bc: str) -> str:
+    """Cache key of a level spectrum: its inputs, and the solver version and
+    tolerances, so a solver change misses the cache."""
     settings = json.dumps(eigensolve.solver_settings(), sort_keys=True)
-    return _key("spectrum", spec.spec_hash(), level, bc, cap, budget, settings)
+    return _key("spectrum", spec.spec_hash(), level, bc, settings)
 
 
 def _model_key(spec: CarpetSpec, level: int, bc: str, n: int, p_max: int, digest: str) -> str:
@@ -133,12 +132,11 @@ def _model_key(spec: CarpetSpec, level: int, bc: str, n: int, p_max: int, digest
 def _spectrum_for(ns, spec: CarpetSpec):
     """Load the level spectrum from the cache, computing it on a miss."""
     level = _level(ns)
-    key = _spectrum_key(spec, level, ns.bc, ns.cap, ns.budget)
+    key = _spectrum_key(spec, level, ns.bc)
     path = os.path.join(_cache_dir(ns), f"spectrum-{key}.json")
     if os.path.exists(path):
         return eigensolve.load_spectrum(path), path, True
-    spectrum = eigensolve.compute_spectrum(build_graph(spec, level), bc=ns.bc,
-                                           cap=ns.cap, budget=ns.budget)
+    spectrum = eigensolve.compute_spectrum(build_graph(spec, level), bc=ns.bc)
     eigensolve.save_spectrum(spectrum, path)
     return spectrum, path, False
 
@@ -666,12 +664,6 @@ OPTIONS = {
     "config": Option("JSON file with default option values; flags win"),
     "adjacency": Option("cell adjacency of the level graph", "face",
                         choices=("face", "vertex")),
-    "cap": Option("largest block solved dense, a symmetry block when the "
-                  "level graph has the cube's symmetry and else the whole "
-                  "Laplacian; larger blocks are sliced, so 0 slices",
-                  eigensolve.DENSE_CAP, type=int),
-    "budget": Option("slice budget of each sliced block",
-                     eigensolve.SLICE_BUDGET, type=int),
     "p_max": Option("highest Fourier index extracted", trace.P_MAX_DEFAULT,
                     type=int),
     "euclid": Option("use an exact Euclidean box instead of a carpet",
@@ -695,8 +687,7 @@ OPTIONS = {
 }
 
 COMMON = ("preset", "spec", "level", "bc", "out", "config")
-SOLVER = ("cap", "budget")
-CHAIN = SOLVER + ("p_max",)
+CHAIN = ("p_max",)
 ZETA = ("euclid",) + CHAIN + ("gamma", "t1", "nmax")
 THERMO = ("euclid", "ds") + CHAIN + ("beta",)
 
@@ -715,7 +706,7 @@ STAGES = (
     ("carpet", "validate", cmd_carpet_validate, ()),
     ("carpet", "info", cmd_carpet_info, ()),
     ("graph", "build", cmd_graph_build, ("adjacency",)),
-    ("spectrum", "compute", cmd_spectrum_compute, SOLVER),
+    ("spectrum", "compute", cmd_spectrum_compute, ()),
     ("trace", "analyze", cmd_trace_analyze, CHAIN),
     ("zeta", "eval", cmd_zeta_eval, ZETA + ("s",)),
     ("zeta", "poles", cmd_zeta_poles, ZETA),

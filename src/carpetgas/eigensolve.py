@@ -3,12 +3,15 @@
 compute_spectrum solves a level-graph Laplacian one block at a time: one
 block per class of symmetry sectors when the Laplacian is invariant under
 the cube's symmetries (Serre, Linear Representations of Finite Groups,
-section 8), else the whole Laplacian.  A block up to the dense cap goes to
-LAPACK, certified by the trace identity and inverse iteration on the sparse
-block; a larger one is sliced by inertia bisection with shift-invert Lanczos
-per slice, each slice checked against its inertia difference (Parlett, The
-Symmetric Eigenvalue Problem, section 3.3).  Inertia counts come from a
-SuperLU factorization restricted to diagonal pivots.
+section 8), else the whole Laplacian.  Each block is renumbered in reverse
+Cuthill-McKee order (Cuthill & McKee, Reducing the bandwidth of sparse
+symmetric matrices, 1969), which keeps a grid-like matrix in a narrow band,
+and goes whole to LAPACK's band eigensolver, certified by the trace identity
+and inverse iteration on the sparse block.  slice_spectrum solves a window
+of the spectrum by inertia bisection with shift-invert Lanczos per slice,
+each slice checked against its inertia difference (Parlett, The Symmetric
+Eigenvalue Problem, section 3.3).  Inertia counts come from a SuperLU
+factorization restricted to diagonal pivots.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from .graph import VertexIndex, laplacian
 
 # Names the solver behaviour behind a spectrum; change it with any change to
 # the solvers that can move cached eigenvalues.
-SOLVER_VERSION = "block-loop-1"
-DENSE_CAP = 10_000
-# Slice solves plus bisection refinements the sliced path may spend.
+SOLVER_VERSION = "block-band-1"
+# Most band entries, (bandwidth + 1) * order floats (8 bytes each), of one
+# block; the largest blocks of SC(3,1) level 6 and MS(3,1) level 4 fit.
+BAND_CAP = 25_000_000
+# Slice solves plus bisection refinements slice_spectrum may spend.
 SLICE_BUDGET = 400
 # Most eigenvalues solved as one shift-invert slice; a fuller slice is bisected.
 MAX_SLICE = 64
@@ -50,11 +55,10 @@ ZERO_TOL = 1e-8
 class Spectrum:
     """Sorted eigenvalues plus the provenance needed to cache them.
 
-    ``method`` records the route that ran: "dense", or "sliced" when any
-    block was sliced (oracle box spectra say "oracle-box").  ``blocks`` holds
-    the (order, multiplicity) of every block solved; a Laplacian without the
-    cube's symmetry is one block (n, 1).  ``interval`` is the window the
-    sliced blocks were solved over.
+    ``method`` records the route that ran: "dense" for a complete direct
+    solve, "sliced" for a slice_spectrum window (oracle box spectra say
+    "oracle-box").  ``blocks`` holds the (order, multiplicity) of every block
+    solved; a Laplacian without the cube's symmetry is one block (n, 1).
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +67,6 @@ class Spectrum:
     spec_hash: str = ""
     complete: bool = True
     method: str = "dense"
-    interval: tuple[float, float] | None = None
     blocks: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -96,14 +99,6 @@ class Spectrum:
     @property
     def num_zero_modes(self) -> int:
         return int(np.count_nonzero(self.eigenvalues <= ZERO_TOL))
-
-
-def gershgorin_interval(matrix: scipy.sparse.spmatrix) -> tuple[float, float]:
-    """Closed interval containing all eigenvalues (Gershgorin discs)."""
-    A = scipy.sparse.csr_matrix(matrix)
-    d = A.diagonal()
-    radii = np.asarray(np.abs(A).sum(axis=1)).ravel() - np.abs(d)
-    return float(np.min(d - radii)), float(np.max(d + radii))
 
 
 def _shift_ladder(matrix: scipy.sparse.spmatrix, sigma: float) -> tuple[float, list[float]]:
@@ -154,7 +149,7 @@ def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
                 and np.all(np.isfinite(d) & (np.abs(d) > floor)):
             return int(np.count_nonzero(d < 0.0))
     raise FactorizationError(
-        f"inertia at sigma={sigma!r}: factorization broke down at every "
+        f"inertia at sigma={float(sigma)}: factorization broke down at every "
         f"shift step {INERTIA_STEPS}"
     )
 
@@ -201,7 +196,7 @@ def _residual_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
         rayleigh = float(v @ Bv)
         if not abs(rayleigh - w[idx]) <= EIG_RTOL * norm:
             raise ConvergenceError(
-                f"eigenvalue mismatch at index {idx}: {rayleigh!r} vs {w[idx]!r}"
+                f"eigenvalue mismatch at index {idx}: {rayleigh} vs {float(w[idx])}"
             )
 
 
@@ -217,7 +212,7 @@ def _inertia_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
         sigma = 0.5 * (w[idx] + w[idx + 1])
         if inertia_count(matrix, sigma) != idx + 1:
             raise ConvergenceError(
-                f"inertia cross-check failed at sigma={sigma!r}"
+                f"inertia cross-check failed at sigma={float(sigma)}"
             )
         checked += 1
         if checked >= 3:
@@ -229,25 +224,44 @@ def _inertia_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
 def _check_trace(w: np.ndarray, tr: float) -> None:
     s = float(np.sum(w))
     if abs(s - tr) > RESIDUAL_RTOL * max(abs(tr), 1.0):
-        raise ConvergenceError(f"trace identity violated: {s!r} vs {tr!r}")
+        raise ConvergenceError(f"trace identity violated: {s} vs {tr}")
 
 
-def dense_eigenvalues(matrix: scipy.sparse.spmatrix, cap: int = DENSE_CAP) -> Spectrum:
+def _rcm_lower_band(matrix: scipy.sparse.spmatrix) -> tuple[np.ndarray, ...]:
+    """The lower triangle of a symmetric matrix renumbered in reverse
+    Cuthill-McKee order, as (offset i - j >= 0, column j, value) of each
+    stored entry; the largest offset is the bandwidth in that order."""
+    A = scipy.sparse.csr_matrix(matrix)
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    lower = scipy.sparse.tril(A[perm][:, perm], format="coo")
+    return lower.row - lower.col, lower.col, lower.data
+
+
+def dense_eigenvalues(matrix: scipy.sparse.spmatrix) -> Spectrum:
     """All eigenvalues of a symmetric matrix as a Spectrum, certified by the
     trace identity and by inverse iteration on the sparse matrix.
 
-    Orders above ``cap`` are refused (cubic cost); use slice_spectrum.
+    LAPACK's band solver runs on the lower band in reverse Cuthill-McKee
+    order.  A band of more than BAND_CAP entries, (bandwidth + 1) * order,
+    is refused; use slice_spectrum for a window of such a spectrum.
     """
     n = matrix.shape[0]
     if n != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds dense cap {cap}")
-    sparse = scipy.sparse.issparse(matrix)
-    dense = matrix.toarray() if sparse else np.asarray(matrix, float)
-    w = np.linalg.eigvalsh(dense)
-    _check_trace(w, float(np.trace(dense)))
-    _residual_spot_check(matrix if sparse else scipy.sparse.csr_matrix(dense), w)
+    offsets, cols, values = _rcm_lower_band(matrix)
+    width = int(offsets.max(initial=0)) + 1
+    if width * n > BAND_CAP:
+        raise CapExceededError(
+            f"order {n} at bandwidth {width - 1} needs {width * n} band entries "
+            f"(cap {BAND_CAP})")
+    # Fortran order is LAPACK's, so the band is reduced in place, not copied;
+    # add.at sums duplicate stored entries as the sparse matrix does
+    band = np.zeros((width, n), order="F")
+    np.add.at(band, (offsets, cols), values)
+    trace = float(band[0].sum())  # before the reduction overwrites it
+    w = scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+    _check_trace(w, trace)
+    _residual_spot_check(matrix, w)
     return Spectrum(eigenvalues=w, method="dense")
 
 
@@ -329,8 +343,7 @@ def slice_spectrum(matrix: scipy.sparse.spmatrix, interval: tuple[float, float],
         work.append((mid, hi, cmid, chi))
 
     ev = np.sort(np.concatenate(found)) if found else np.zeros(0)
-    return Spectrum(eigenvalues=ev, method="sliced", complete=complete,
-                    interval=(a, b))
+    return Spectrum(eigenvalues=ev, method="sliced", complete=complete)
 
 
 def _snap_kernel(laplacian_matrix: scipy.sparse.spmatrix, ev: np.ndarray) -> None:
@@ -432,47 +445,31 @@ def _symmetry_blocks(graph, bc: str, L: scipy.sparse.csr_matrix) -> list:
     return [(P, mult) for P, mult in sectors if P.shape[1]]
 
 
-def compute_spectrum(graph, bc: str = "neumann", cap: int = DENSE_CAP,
-                     budget: int = SLICE_BUDGET) -> Spectrum:
-    """Spectrum of the level-graph Laplacian with provenance attached.
+def compute_spectrum(graph, bc: str = "neumann") -> Spectrum:
+    """Complete spectrum of the level-graph Laplacian with provenance attached.
 
-    Each block of _symmetry_blocks is solved dense when its order is at
-    most ``cap`` and sliced within ``budget`` over the Laplacian's
-    Gershgorin interval above it, so ``cap=0`` slices every block.  A
-    complete merged spectrum is certified against the Laplacian (size,
-    trace identity, Sylvester inertia) and carries a Neumann kernel, one
-    mode per connected component, as exact zeros; an incomplete one holds
-    what its slices resolved.
+    Each block of _symmetry_blocks is solved whole by dense_eigenvalues.  The
+    merged spectrum is certified against the Laplacian (size, trace
+    identity, Sylvester inertia) and carries a Neumann kernel, one mode per
+    connected component, as exact zeros.
     """
     L = laplacian(graph, bc)
     parts, blocks = [], []
-    interval, complete = None, True
     for P, mult in _symmetry_blocks(graph, bc, L):
         B = (P.T @ L @ P).tocsr()
-        if B.shape[0] <= cap:
-            w = dense_eigenvalues(B, cap=cap).eigenvalues
-        else:
-            if interval is None:
-                lo, hi = gershgorin_interval(L)
-                interval = (min(lo, 0.0) - 1e-9, hi + 1.0)
-            part = slice_spectrum(B, interval, budget=budget)
-            w, complete = part.eigenvalues, complete and part.complete
-        parts.append(np.tile(w, mult))
+        parts.append(np.tile(dense_eigenvalues(B).eigenvalues, mult))
         blocks.append((B.shape[0], mult))
     w = np.sort(np.concatenate(parts))
     n = L.shape[0]
-    if complete:
-        if w.size != n:
-            raise ConvergenceError(f"blocks hold {w.size} modes, matrix order {n}")
-        _check_trace(w, float(L.diagonal().sum()))
-        if n > 2:
-            _inertia_spot_check(L, w)
-        if bc == "neumann":
-            _snap_kernel(L, w)
+    if w.size != n:
+        raise ConvergenceError(f"blocks hold {w.size} modes, matrix order {n}")
+    _check_trace(w, float(L.diagonal().sum()))
+    if n > 2:
+        _inertia_spot_check(L, w)
+    if bc == "neumann":
+        _snap_kernel(L, w)
     return Spectrum(eigenvalues=w, bc=bc, level=graph.level,
-                    spec_hash=graph.spec.spec_hash(), complete=complete,
-                    method="dense" if interval is None else "sliced",
-                    interval=interval, blocks=blocks)
+                    spec_hash=graph.spec.spec_hash(), blocks=blocks)
 
 
 def solver_settings() -> dict:
@@ -483,7 +480,6 @@ def solver_settings() -> dict:
         "residual_rtol": RESIDUAL_RTOL,
         "inertia_steps": list(INERTIA_STEPS),
         "zero_tol": ZERO_TOL,
-        "max_slice": MAX_SLICE,
     }
 
 
@@ -495,7 +491,6 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
         "bc": spectrum.bc,
         "method": spectrum.method,
         "complete": spectrum.complete,
-        "interval": list(spectrum.interval) if spectrum.interval else None,
         "n": spectrum.n,
         "zero_tol": ZERO_TOL,
         "blocks": spectrum.blocks,
@@ -521,6 +516,5 @@ def load_spectrum(path: str) -> Spectrum:
         spec_hash=h.get("spec_hash", ""),
         complete=bool(h.get("complete", True)),
         method=h.get("method", "dense"),
-        interval=tuple(h["interval"]) if h.get("interval") else None,
         blocks=[tuple(b) for b in h.get("blocks", [])],
     )

@@ -420,7 +420,7 @@ def blackbody(model: HeatTraceModel, beta: float, L: float = 1.0):
     v_s = spectral_volume(model, L)
     total = _radiation_sum(model, beta, L, weight_energy=True) / (beta * v_s)
     if abs(total.imag) > 1e-9 * max(abs(total.real), 1e-300):
-        raise DomainError(f"radiation sum has imaginary part {total.imag!r}")
+        raise DomainError(f"radiation sum has imaginary part {float(total.imag)}")
     energy = total.real
     return energy, energy / model.d_s
 
@@ -480,7 +480,7 @@ def casimir_waveguide_zero_T(carpet_model: HeatTraceModel, a: float,
         * p_acc
     for name, val in (("energy", energy), ("pressure", pressure)):
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-            raise DomainError(f"waveguide {name} has imaginary part {val.imag!r}")
+            raise DomainError(f"waveguide {name} has imaginary part {float(val.imag)}")
     return energy.real, pressure.real
 
 
@@ -504,5 +504,5 @@ def casimir_waveguide_thermal(carpet_model: HeatTraceModel, a: float, b: float,
         acc += c * cmath.exp(2.0 * shift * x)
     acc /= carpet_model.g00 * math.pi ** ((d_so + 1.0) / 2.0)
     if abs(acc.imag) > 1e-10 * max(abs(acc.real), 1e-300):
-        raise DomainError(f"thermal sum has imaginary part {acc.imag!r}")
+        raise DomainError(f"thermal sum has imaginary part {float(acc.imag)}")
     return acc.real * beta ** (-(d_so + 1.0))

@@ -204,7 +204,7 @@ def fit_spectral_dimension(series: WeylSeries,
 def estimate_period(spec, d_s: float) -> float:
     """log R = (2/d_s) log m, which is d_w log l with d_w = 2 d_h / d_s."""
     if not 0 < d_s <= spec.d:
-        raise DomainError(f"d_s={d_s!r} outside (0, {spec.d}]")
+        raise DomainError(f"d_s={float(d_s)} outside (0, {spec.d}]")
     return (2.0 / d_s) * math.log(spec.m)
 
 

@@ -361,7 +361,7 @@ def casimir_energy(source) -> float:
     v = ext.evaluate(-0.5 + 0.0j)
     if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
         raise ConvergenceError(
-            f"zeta(-1/2) has non-negligible imaginary part {v.imag!r}"
+            f"zeta(-1/2) has non-negligible imaginary part {float(v.imag)}"
         )
     return 0.5 * v.real
 

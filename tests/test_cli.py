@@ -6,6 +6,7 @@ import glob
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,8 +41,7 @@ def run_json(capsys, *args):
 
 def seed_spectrum_cache(cache_dir, spec, level, spectrum):
     """Place a spectrum where the pipeline's default-keyed lookup expects it."""
-    key = _spectrum_key(spec, level, "neumann", eigensolve.DENSE_CAP,
-                        eigensolve.SLICE_BUDGET)
+    key = _spectrum_key(spec, level, "neumann")
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"spectrum-{key}.json")
     eigensolve.save_spectrum(spectrum, path)
@@ -118,24 +118,15 @@ class TestSpectrumStage:
         assert second["lambda_max"] == first["lambda_max"]
         assert second["blocks"] == first["blocks"]
 
-    def test_cap_zero_slices(self, capsys, workdir):
-        payload = run_json(capsys, "spectrum", "compute", "--preset", "SC(3,1)",
-                           "--level", 2, "--cap", 0, "--out", workdir)
-        assert payload["method"] == "sliced"
-        assert payload["blocks"] == [[10, 1], [8, 1], [16, 2], [8, 1], [6, 1]]
-        assert payload["n"] == 64
-        assert payload["num_zero_modes"] == 1
-
     @pytest.mark.parametrize("name,value", [("SOLVER_VERSION", "other"),
                                             ("EIG_RTOL", 1e-11),
                                             ("INERTIA_STEPS", (0.0, 1e-9)),
-                                            ("ZERO_TOL", 1e-9),
-                                            ("MAX_SLICE", 32)])
+                                            ("ZERO_TOL", 1e-9)])
     def test_solver_settings_key_the_cache(self, monkeypatch, sc31_spec, name,
                                            value):
-        key = _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400)
+        key = _spectrum_key(sc31_spec, 3, "neumann")
         monkeypatch.setattr(eigensolve, name, value)
-        assert _spectrum_key(sc31_spec, 3, "neumann", 10_000, 400) != key
+        assert _spectrum_key(sc31_spec, 3, "neumann") != key
 
     def test_analysis_version_keys_the_model_cache(self, monkeypatch, sc31_spec):
         key = _model_key(sc31_spec, 4, "neumann", 4096, 5, "0" * 64)
@@ -191,6 +182,15 @@ class TestTraceStage:
         with open(payload["ghat_csv"]) as fh:
             ghat = list(csv.DictReader(fh))
         assert [(int(r["k"]), int(r["p"])) for r in ghat] == [(0, 0)]
+
+    def test_rejected_d_s_prints_a_plain_float(self, capsys, workdir):
+        # the fitted Dirichlet d_s of SC(3,1) level 3 lies above d = 2
+        code, captured = run(capsys, "trace", "analyze", "--preset", "SC(3,1)",
+                             "--level", 3, "--bc", "dirichlet", "--out", workdir)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert re.fullmatch(r"d_s=2\.\d+ outside \(0, 2\]", err["message"]), err["message"]
 
 
 class TestModelCache:
@@ -424,15 +424,14 @@ def _subparsers(parser):
 
 def test_each_subcommand_keeps_its_flags():
     common = {"--preset", "--spec", "--level", "--bc", "--out", "--config"}
-    solver = {"--cap", "--budget"}
-    chain = solver | {"--p-max"}
+    chain = {"--p-max"}
     zeta = chain | {"--euclid", "--gamma", "--t1", "--nmax"}
     thermo = chain | {"--euclid", "--ds", "--beta"}
     want = {
         ("carpet", "validate"): set(),
         ("carpet", "info"): set(),
         ("graph", "build"): {"--adjacency"},
-        ("spectrum", "compute"): solver,
+        ("spectrum", "compute"): set(),
         ("trace", "analyze"): chain,
         ("zeta", "eval"): zeta | {"--s"},
         ("zeta", "poles"): zeta,
@@ -470,13 +469,15 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
 
 
 def test_package_import_leaves_scipy_sparse_out(tmp_path):
+    # the solver's scipy.linalg and scipy.sparse.csgraph load on first use too
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, carpetgas, carpetgas.cli; "
-         "print('scipy.sparse' in sys.modules)"],
+         "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.linalg', "
+         "'scipy.sparse.csgraph')))"],
         capture_output=True, text=True, env=_source_tree_env(tmp_path),
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False False"
 
 
 # Run a stage the way the pip-generated launcher does, then report whether

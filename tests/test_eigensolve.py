@@ -1,8 +1,9 @@
-"""Eigensolvers: dense vs sliced cross-validation, symmetry sectors, inertia
-counts, caching."""
+"""Eigensolvers: the banded block route and slices against LAPACK's dense
+solver, symmetry sectors, inertia counts, caching."""
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from carpetgas import eigensolve
 from carpetgas.eigensolve import (
-    DENSE_CAP,
     Spectrum,
+    _rcm_lower_band,
+    _symmetry_blocks,
     compute_spectrum,
     dense_eigenvalues,
-    gershgorin_interval,
     inertia_count,
     is_cube_symmetric,
     load_spectrum,
@@ -71,17 +73,6 @@ class TestSpectrum:
             Spectrum(eigenvalues=np.zeros((2, 2)))
 
 
-class TestGershgorin:
-    def test_diagonal_matrix_exact(self):
-        m = sp.diags([(-3.0), 1.0, 7.0])
-        assert gershgorin_interval(m) == (-3.0, 7.0)
-
-    def test_contains_true_spectrum(self, sc31_l2_lap):
-        lo, hi = gershgorin_interval(sc31_l2_lap)
-        w = np.linalg.eigvalsh(sc31_l2_lap.toarray())
-        assert lo <= w[0] and w[-1] <= hi
-
-
 class TestDense:
     def test_laplacian_trace_identity(self, sc31_l2_lap):
         spec = dense_eigenvalues(sc31_l2_lap)
@@ -93,12 +84,28 @@ class TestDense:
         spec = dense_eigenvalues(sc31_l2_lap)
         assert spec.num_zero_modes == 1
 
-    def test_cap_refused(self, sc31_l2_lap):
-        with pytest.raises(CapExceededError):
-            dense_eigenvalues(sc31_l2_lap, cap=32)
+    def test_cap_refused(self, sc31_l2_lap, monkeypatch):
+        offsets, _, _ = _rcm_lower_band(sc31_l2_lap)
+        entries = (int(offsets.max()) + 1) * 64
+        monkeypatch.setattr(eigensolve, "BAND_CAP", entries)
+        assert dense_eigenvalues(sc31_l2_lap).n == 64
+        monkeypatch.setattr(eigensolve, "BAND_CAP", entries - 1)
+        with pytest.raises(CapExceededError, match="band entries"):
+            dense_eigenvalues(sc31_l2_lap)
 
-    def test_default_cap(self):
-        assert DENSE_CAP == 10_000
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_lapack_dense_on_indefinite_matrices(self, seed):
+        # a random pattern keeps a wide band in any order
+        m = random_sparse_symmetric(150, seed=seed, shift=0.3)
+        want = np.linalg.eigvalsh(m.toarray())
+        got = dense_eigenvalues(m).eigenvalues
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_disconnected_matrix_in_dense_input(self):
+        # reverse Cuthill-McKee orders each connected component in turn
+        a = np.kron(np.eye(3), [[2.0, -1.0], [-1.0, 2.0]])
+        np.testing.assert_allclose(dense_eigenvalues(a).eigenvalues,
+                                   [1.0] * 3 + [3.0] * 3, rtol=0, atol=1e-14)
 
     def test_exact_eigenvalue_shifts_lower_along_the_ladder(self):
         # every checked shift is an exact eigenvalue, so each first factor
@@ -107,27 +114,27 @@ class TestDense:
         np.testing.assert_array_equal(spec.eigenvalues, np.arange(20.0))
 
     def test_trace_preserving_perturbation_rejected(self, sc31_l2_lap, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+        eigvals_banded = scipy.linalg.eigvals_banded
 
-        def moved(a):
-            w = eigvalsh(a)
+        def moved(*args, **kwargs):
+            w = eigvals_banded(*args, **kwargs)
             w[1] += 1e-3
             w[-1] -= 1e-3
             return w
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", moved)
         with pytest.raises(ConvergenceError, match="residual"):
             dense_eigenvalues(sc31_l2_lap)
 
     def test_lowest_eigenvalue_perturbation_rejected(self, sc31_l2_lap, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+        eigvals_banded = scipy.linalg.eigvals_banded
 
-        def moved(a):
-            w = eigvalsh(a)
+        def moved(*args, **kwargs):
+            w = eigvals_banded(*args, **kwargs)
             w[0] += 1e-3
             return w
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", moved)
         with pytest.raises(ConvergenceError):
             dense_eigenvalues(sc31_l2_lap)
 
@@ -182,9 +189,8 @@ class TestInertia:
 class TestSliceSpectrum:
     def test_matches_dense_on_carpet(self, sc31_l3_lap):
         dense = np.linalg.eigvalsh(sc31_l3_lap.toarray())
-        lo, hi = gershgorin_interval(sc31_l3_lap)
-        sliced = slice_spectrum(sc31_l3_lap, (min(lo, 0.0) - 1e-9, hi + 1.0),
-                                budget=400)
+        # degree <= 4, so every eigenvalue lies in [0, 8]
+        sliced = slice_spectrum(sc31_l3_lap, (-1e-9, 9.0), budget=400)
         assert sliced.complete
         assert sliced.n == dense.size
         scale = max(abs(dense[0]), abs(dense[-1]), 1.0)
@@ -203,16 +209,14 @@ class TestSliceSpectrum:
         for seed in (1, 2, 3):
             m = random_sparse_symmetric(200, seed=seed, shift=0.3)
             dense = np.linalg.eigvalsh(m.toarray())
-            lo, hi = gershgorin_interval(m)
-            sliced = slice_spectrum(m, (lo - 1e-9, hi + 1.0), budget=300,
-                                    seed=seed)
+            sliced = slice_spectrum(m, (dense[0] - 1.0, dense[-1] + 1.0),
+                                    budget=300, seed=seed)
             assert sliced.complete, f"seed {seed}"
             scale = max(abs(dense[0]), abs(dense[-1]))
             assert np.max(np.abs(sliced.eigenvalues - dense)) < 1e-10 * scale
 
     def test_budget_exhaustion_flags_incomplete(self, sc31_l3_lap):
-        lo, hi = gershgorin_interval(sc31_l3_lap)
-        sliced = slice_spectrum(sc31_l3_lap, (lo - 1e-9, hi + 1.0), budget=1)
+        sliced = slice_spectrum(sc31_l3_lap, (-1e-9, 9.0), budget=1)
         assert not sliced.complete
 
     def test_slice_centred_on_an_eigenvalue(self, monkeypatch):
@@ -248,20 +252,10 @@ class TestComputeSpectrum:
         assert s.spec_hash == spec.spec_hash()
         assert s.n == 64
 
-    def test_sliced_route_agrees_with_dense(self):
-        g = build_graph(preset("SC(3,1)"), 2)
-        dense = compute_spectrum(g)
-        sliced = compute_spectrum(g, cap=0, budget=200)
-        assert (dense.method, sliced.method) == ("dense", "sliced")
-        assert sliced.complete
-        assert sliced.n == dense.n
-        scale = dense.lambda_max
-        assert np.max(np.abs(sliced.eigenvalues - dense.eigenvalues)) < 1e-10 * scale
-
     def test_one_dense_solve_per_block(self, monkeypatch):
-        # the certificate must not re-solve a block: one eigvalsh call per
-        # symmetry block and no eigh call at all
-        calls = {"eigvalsh": 0, "eigh": 0}
+        # the certificate must not re-solve a block: one eigvals_banded call
+        # per symmetry block and no dense solve at all
+        calls = {"eigvals_banded": 0, "eigvalsh": 0, "eigh": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -272,11 +266,12 @@ class TestComputeSpectrum:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counted(scipy.linalg, "eigvals_banded")
         counted(np.linalg, "eigvalsh")
         counted(scipy.linalg, "eigh")
         spec = compute_spectrum(build_graph(preset("SC(3,1)"), 3), "neumann")
         assert len(spec.blocks) == 5
-        assert calls == {"eigvalsh": 5, "eigh": 0}
+        assert calls == {"eigvals_banded": 5, "eigvalsh": 0, "eigh": 0}
 
     def test_neumann_kernel_is_exact_zero(self):
         s = compute_spectrum(build_graph(preset("MS(3,1)"), 2), bc="neumann")
@@ -296,7 +291,7 @@ class TestSymmetrySectors:
     def test_reduced_path_matches_whole_matrix(self, name, level, bc, adjacency):
         g = build_graph(preset(name), level, adjacency)
         got = compute_spectrum(g, bc=bc)
-        want = dense_eigenvalues(laplacian(g, bc)).eigenvalues
+        want = np.linalg.eigvalsh(laplacian(g, bc).toarray())
         assert got.blocks
         assert sum(order * mult for order, mult in got.blocks) == want.size
         assert got.n == want.size
@@ -318,7 +313,7 @@ class TestSymmetrySectors:
         assert not is_cube_symmetric(L, g.coords, 3**level)
         got = compute_spectrum(g)
         assert got.method == "dense" and got.blocks == [(g.n_vertices, 1)]
-        want = dense_eigenvalues(L).eigenvalues
+        want = np.linalg.eigvalsh(L.toarray())
         assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * want[-1]
 
     def test_perturbed_entry_pair_fails_the_check(self):
@@ -340,44 +335,18 @@ class TestSymmetrySectors:
         assert spectra[0].size == spectra[1].size > 0
         assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12 * spectra[0][-1]
 
-    def test_cap_bounds_the_largest_block(self):
-        g = build_graph(preset("SC(3,1)"), 3)
-        whole = compute_spectrum(g)
-        largest = max(order for order, _ in whole.blocks)
-        assert largest < g.n_vertices
-        got = compute_spectrum(g, cap=largest)
-        assert got.method == "dense" and got.complete
-        assert got.blocks == whole.blocks
-        assert np.array_equal(got.eigenvalues, whole.eigenvalues)
-
-    def test_cap_below_the_largest_block_slices(self):
-        g = build_graph(preset("SC(3,1)"), 2)
-        dense = compute_spectrum(g)
-        largest = max(order for order, _ in dense.blocks)
-        got = compute_spectrum(g, cap=largest - 1, budget=200)
-        assert got.method == "sliced" and got.blocks == dense.blocks
-        assert got.complete
-        assert np.max(np.abs(got.eigenvalues - dense.eigenvalues)) < 1e-10 * dense.lambda_max
-
-    def test_sliced_block_reaches_shift_invert_lanczos(self, monkeypatch,
-                                                       sc31_l4_neumann):
-        # the 1024-order block is sliced and each slice solved by eigsh (a
-        # block of order <= 128 would be solved densely); the others stay dense
-        calls = []
-        eigsh = spla.eigsh
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["sigma"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", counted)
-        dense = sc31_l4_neumann
-        largest = max(order for order, _ in dense.blocks)
-        got = compute_spectrum(build_graph(preset("SC(3,1)"), 4), cap=largest - 1)
-        assert got.method == "sliced" and got.complete
-        assert got.blocks == dense.blocks
-        assert calls
-        assert np.max(np.abs(got.eigenvalues - dense.eigenvalues)) < 1e-10 * dense.lambda_max
+    @pytest.mark.parametrize("name,level", [("SC(3,1)", 6), ("MS(3,1)", 4)])
+    def test_band_cap_admits_every_block(self, name, level):
+        # block set-up and ordering only, no solve: the north-star levels
+        # are solved whole
+        g = build_graph(preset(name), level)
+        L = laplacian(g)
+        blocks = _symmetry_blocks(g, "neumann", L)
+        assert sum(P.shape[1] * mult for P, mult in blocks) == g.n_vertices
+        for P, _ in blocks:
+            B = (P.T @ L @ P).tocsr()
+            offsets, _, _ = _rcm_lower_band(B)
+            assert (int(offsets.max()) + 1) * B.shape[0] <= eigensolve.BAND_CAP
 
 
 class TestSaveLoad:
@@ -389,7 +358,6 @@ class TestSaveLoad:
             spec_hash="abc123",
             complete=False,
             method="sliced",
-            interval=(-1.0, 40.0),
         )
         path = str(tmp_path / "spec.json")
         save_spectrum(src, path)
@@ -400,7 +368,6 @@ class TestSaveLoad:
         assert got.spec_hash == "abc123"
         assert got.complete is False
         assert got.method == "sliced"
-        assert got.interval == (-1.0, 40.0)
         assert got.blocks == []
 
     def test_blocks_and_solver_settings_recorded(self, tmp_path):
@@ -425,3 +392,16 @@ class TestSaveLoad:
         assert np.array_equal(got.eigenvalues, [0.0, 1.0, 3.0])
         assert got.blocks == []
         assert got.num_zero_modes == 1
+
+    @pytest.mark.parametrize("name", ["sc31-l4-neumann", "ms31-l3-neumann",
+                                      "sc31-l3-dirichlet", "ms31-l2-neumann"])
+    def test_reads_the_benchmark_reference_spectra(self, request, name):
+        # written by an earlier solver: no blocks or solver settings, and
+        # "interval": null; the current route agrees to 1e-13 * lambda_max
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "data", f"{name}.json")
+        got = load_spectrum(path)
+        want = request.getfixturevalue(name.replace("-", "_"))
+        assert (got.bc, got.level, got.n) == (want.bc, want.level, want.n)
+        assert got.blocks == [] and got.complete
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-13 * want.lambda_max

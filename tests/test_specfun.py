@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from carpetgas.errors import DomainError, PoleError
 from carpetgas.specfun import (
+    _B2K,
     gamma,
     gamma_reciprocal,
     polylog,
@@ -89,7 +91,25 @@ class TestGamma:
             assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
 
 
+def _bernoulli_even(count: int) -> list[float]:
+    """B_2, B_4, ..., B_{2*count} computed exactly, then rounded to float."""
+    m_max = 2 * count
+    b = [Fraction(0)] * (m_max + 1)
+    b[0] = Fraction(1)
+    for m in range(1, m_max + 1):
+        acc = Fraction(0)
+        binom = 1
+        for j in range(m):
+            acc += binom * b[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        b[m] = -acc / (m + 1)
+    return [float(b[2 * k]) for k in range(1, count + 1)]
+
+
 class TestZeta:
+    def test_bernoulli_literals_are_the_exact_numbers_rounded(self):
+        assert list(_B2K) == _bernoulli_even(32)
+
     def test_frozen_reference(self):
         got = riemann_zeta(ZETA_OSC_ARG)
         assert abs(got - ZETA_OSC) <= 1e-12 * abs(ZETA_OSC)
