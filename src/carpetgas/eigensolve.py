@@ -39,7 +39,7 @@ BAND_CAP = 25_000_000
 # Slice solves plus bisection refinements slice_spectrum may spend.
 SLICE_BUDGET = 400
 # Most eigenvalues solved as one shift-invert slice; a fuller slice is bisected.
-MAX_SLICE = 64
+MAX_SLICE = 256
 # Downstream log-periodic extraction is sensitive to spectral noise; keep
 # these in one place.
 EIG_RTOL = 1e-10

@@ -11,6 +11,7 @@ overall spectral scale is removed downstream by lambda_1 normalization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -74,8 +75,9 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
     Vertex v has the address digits of v in base m (first digit slowest), so
     its coordinate is sum_k l^(level-1-k) * cell_k over the sorted mask cells.
     Neighbours are looked up once per offset in the positive half of
-    {-1,0,1}^d (only the unit offsets for face adjacency), through sorted
-    raveled coordinate keys, so each edge is found once.
+    {-1,0,1}^d (only the unit offsets for face adjacency), so each edge is
+    found once: in the sorted raveled coordinate keys, an offset adds one
+    stride to the key of every cell whose neighbour lies inside the grid.
     """
     if adjacency not in _ADJACENCY:
         raise DomainError(f"adjacency must be one of {_ADJACENCY}, got {adjacency!r}")
@@ -92,6 +94,10 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
 
     side = l**level
     index = VertexIndex(coords, side)
+    keys, order = index.keys, index.order
+    # coordinate columns in key order: each offset's bounds test keeps the
+    # needles keys + stride sorted, and no n x d neighbour array is made
+    columns = np.unravel_index(keys, index.shape)
     offsets = [
         off
         for off in itertools.product((-1, 0, 1), repeat=d)
@@ -99,13 +105,20 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
     ]
     pairs = []  # edge (i, j), i < j, encoded as i * count + j
     for off in offsets:
-        nb = coords + off
-        src = np.flatnonzero(np.all((nb >= 0) & (nb < side), axis=1))
-        dst = index.find(nb[src])
-        hit = dst >= 0
-        a, b = src[hit], dst[hit]
+        inside = functools.reduce(np.logical_and, (
+            columns[axis] < side - 1 if step > 0 else columns[axis] > 0
+            for axis, step in enumerate(off) if step))
+        src = np.flatnonzero(inside)
+        stride = sum(step * side ** (d - 1 - axis) for axis, step in enumerate(off))
+        needles = keys[src] + stride
+        pos = np.minimum(np.searchsorted(keys, needles), count - 1)
+        hit = keys[pos] == needles
+        a, b = order[src[hit]], order[pos[hit]]
         pairs.append(np.minimum(a, b) * count + np.maximum(a, b))
-    edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), count), axis=1)
+    pairs = np.concatenate(pairs)
+    pairs.sort()
+    edges = np.empty((pairs.size, 2), dtype=np.int64)
+    np.divmod(pairs, count, out=(edges[:, 0], edges[:, 1]))
 
     on_boundary = np.any((coords == 0) | (coords == side - 1), axis=1)
     boundary = np.flatnonzero(on_boundary)
@@ -115,26 +128,42 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
 def laplacian(graph: ApproxGraph, bc: str = "neumann") -> scipy.sparse.csr_matrix:
     """Combinatorial Laplacian; 'dirichlet' deletes outer-boundary vertices.
 
-    Raises DomainError when the Dirichlet deletion empties the matrix (all
-    cells touch the boundary, e.g. SC(3,1) at level 1).
+    The Dirichlet matrix keeps the vertices off the boundary, renumbered in
+    order, and the edges between them; its diagonal is still the full-graph
+    degree.  Raises DomainError when the Dirichlet deletion empties the
+    matrix (all cells touch the boundary, e.g. SC(3,1) at level 1).
     """
-    n = graph.n_vertices
-    rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    data = np.full(rows.shape[0], -1.0)
-    adj = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    lap = scipy.sparse.diags(graph.degrees().astype(float)) + adj
+    edges, deg = graph.edges, graph.degrees()
     if bc == "neumann":
-        return lap.tocsr()
+        return _assemble(edges, deg)
     if bc == "dirichlet":
-        keep = np.setdiff1d(np.arange(n), graph.boundary)
-        if keep.size == 0:
+        keep = np.ones(graph.n_vertices, dtype=bool)
+        keep[graph.boundary] = False
+        if not keep.any():
             raise DomainError(
                 "Dirichlet deletion removed every vertex; spectrum is empty "
                 f"(level {graph.level} too coarse)"
             )
-        return lap[keep][:, keep].tocsr()
+        renumber = np.cumsum(keep) - 1
+        kept = renumber[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]]
+        return _assemble(kept, deg[keep])
     raise DomainError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
+
+
+def _assemble(edges: np.ndarray, deg: np.ndarray) -> scipy.sparse.csr_matrix:
+    """D - A in CSR from edges (i, j), i < j, and the diagonal D; a vertex of
+    degree 0 stores no diagonal entry."""
+    n = deg.size
+    diag = np.flatnonzero(deg)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
+    data = np.full(rows.size, -1.0)
+    data[2 * edges.shape[0]:] = deg[diag]
+    coo = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
+    # coo keeps int32 copies of the indices (REFINE_CAP keeps them in range);
+    # dropping the int64 ones here lowers the peak while tocsr runs
+    del rows, cols
+    return coo.tocsr()
 
 
 def degree_stats(graph: ApproxGraph) -> dict:

@@ -223,18 +223,48 @@ class TestSliceSpectrum:
         # the first shift, 10, makes A - shift*I exactly singular; eigsh
         # raises and the slice moves one step down the shift ladder, in
         # units of max |A_ij| = 199
-        shifts = []
-        eigsh = spla.eigsh
-
-        def logged(*args, **kwargs):
-            shifts.append(kwargs["sigma"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", logged)
+        calls = self._log_eigsh(monkeypatch)
         sliced = slice_spectrum(sp.diags(np.arange(200.0)), (9.5, 10.5))
         assert sliced.complete
         np.testing.assert_array_equal(sliced.eigenvalues, [10.0])
-        assert shifts == [10.0, 10.0 - 1e-9 * 199.0]
+        assert [c["sigma"] for c in calls] == [10.0, 10.0 - 1e-9 * 199.0]
+
+    @staticmethod
+    def _log_eigsh(monkeypatch):
+        # keyword arguments of every eigsh call, logged before it runs
+        calls = []
+        eigsh = spla.eigsh
+
+        def logged(*args, **kwargs):
+            calls.append(kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", logged)
+        return calls
+
+    @staticmethod
+    def _bottom_window(ref, modes):
+        # lowest ~modes eigenvalues, cut in the widest gap within 5 modes
+        top = modes - 5 + int(np.argmax(np.diff(ref[modes - 6:modes + 5])))
+        return top, (-0.5 * ref[1], 0.5 * (ref[top - 1] + ref[top]))
+
+    def test_max_slice_window_is_one_solve(self, sc31_l4_neumann, monkeypatch):
+        ref = sc31_l4_neumann.eigenvalues
+        top, window = self._bottom_window(ref, 128)
+        calls = self._log_eigsh(monkeypatch)
+        sliced = slice_spectrum(laplacian(build_graph(preset("SC(3,1)"), 4)), window)
+        assert sliced.complete and sliced.n == top == 128
+        assert len(calls) == 1
+        assert np.max(np.abs(sliced.eigenvalues - ref[:top])) < 1e-10 * ref[-1]
+
+    def test_wider_window_bisects(self, sc31_l4_neumann, monkeypatch):
+        ref = sc31_l4_neumann.eigenvalues
+        top, window = self._bottom_window(ref, 300)
+        calls = self._log_eigsh(monkeypatch)
+        sliced = slice_spectrum(laplacian(build_graph(preset("SC(3,1)"), 4)), window)
+        assert sliced.complete and sliced.n == top > eigensolve.MAX_SLICE
+        assert len(calls) >= 2
+        assert np.max(np.abs(sliced.eigenvalues - ref[:top])) < 1e-10 * ref[-1]
 
     def test_empty_interval_rejected(self, sc31_l3_lap):
         with pytest.raises(ValueError):

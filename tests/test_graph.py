@@ -102,8 +102,12 @@ class TestBuild:
             build_graph(sc31, 1, adjacency="queen")
 
     @pytest.mark.parametrize("adjacency", ["face", "vertex"])
-    @pytest.mark.parametrize("level", [1, 2])
-    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize(
+        "name,level",
+        # on the 27-wide level-3 grid the key strides cross many runs of cells
+        [(name, level) for level in (1, 2) for name in preset_names()]
+        + [("SC(3,1)", 3), ("MS(3,1)", 3)],
+    )
     def test_matches_address_reference(self, name, level, adjacency):
         spec = preset(name)
         g = build_graph(spec, level, adjacency=adjacency)
@@ -187,6 +191,19 @@ class TestLaplacian:
         g = build_graph(sc31, 2)
         lap = laplacian(g, bc="dirichlet")
         assert lap.shape[0] == g.n_vertices - g.boundary.size == 32
+
+    @pytest.mark.parametrize("name", ["SC(3,1)", "MS(3,1)"])
+    def test_dirichlet_is_the_neumann_submatrix(self, name):
+        # the kept edges and full-graph degrees give, array for array, the
+        # rows and columns of the Neumann matrix off the boundary
+        g = build_graph(preset(name), 3)
+        keep = np.setdiff1d(np.arange(g.n_vertices), g.boundary)
+        want = laplacian(g)[keep][:, keep].tocsr()
+        got = laplacian(g, bc="dirichlet")
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
     def test_dirichlet_empty_interior_raises(self, sc31):
         with pytest.raises(DomainError):
