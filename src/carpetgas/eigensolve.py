@@ -11,7 +11,11 @@ and inverse iteration on the sparse block.  slice_spectrum solves a window
 of the spectrum by inertia bisection with shift-invert Lanczos per slice,
 each slice checked against its inertia difference (Parlett, The Symmetric
 Eigenvalue Problem, section 3.3).  Inertia counts come from a SuperLU
-factorization restricted to diagonal pivots.
+factorization restricted to diagonal pivots.  Every certificate prepares
+its matrix once (_Shiftable) and factors A - shift*I for each shift by
+rewriting the stored diagonal in place, always in SuperLU's symmetric mode:
+diagonal pivots only for an inertia count, threshold pivoting for the
+stable solves of inverse iteration.
 """
 
 from __future__ import annotations
@@ -101,12 +105,51 @@ class Spectrum:
         return int(np.count_nonzero(self.eigenvalues <= ZERO_TOL))
 
 
-def _shift_ladder(matrix: scipy.sparse.spmatrix, sigma: float) -> tuple[float, list[float]]:
+def _shift_ladder(max_abs: float, sigma: float) -> tuple[float, list[float]]:
     """The scale max(1, |sigma|, max |A_ij|) of a shift and the shifts
     sigma - step * scale, one per INERTIA_STEPS step, to try in turn while
     A - shift*I breaks down."""
-    scale = max(1.0, abs(sigma), float(abs(matrix).max()))
+    scale = max(1.0, abs(sigma), max_abs)
     return scale, [sigma - step * scale for step in INERTIA_STEPS]
+
+
+class _Shiftable:
+    """A square matrix prepared once for factoring A - shift*I at any shift.
+
+    ``matrix`` is one canonical CSC working copy of A, without stored zeros
+    except on the diagonal, which is stored whole (explicit zeros where A
+    has none); ``diag`` holds the positions of the diagonal in its data
+    array.  shifted() rewrites those entries in place, so a shift costs no
+    sparse arithmetic, format conversion or reduction.
+    """
+
+    def __init__(self, matrix):
+        A = scipy.sparse.csc_matrix(matrix, dtype=np.float64, copy=True)
+        n = A.shape[0]
+        if n != A.shape[1]:
+            raise ValueError("matrix must be square")
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        self.max_abs = float(np.abs(A.data).max(initial=0.0))
+        cols = np.repeat(np.arange(n), np.diff(A.indptr))
+        stored = A.indices == cols
+        if np.count_nonzero(stored) < n:
+            missing = np.setdiff1d(np.arange(n), cols[stored])
+            A = scipy.sparse.csc_matrix(
+                (np.concatenate([A.data, np.zeros(missing.size)]),
+                 (np.concatenate([A.indices, missing]), np.concatenate([cols, missing]))),
+                shape=(n, n))
+            cols = np.repeat(np.arange(n), np.diff(A.indptr))
+            stored = A.indices == cols
+        self.matrix = A
+        self.n = n
+        self.diag = np.flatnonzero(stored)
+        self.diagonal = A.data[self.diag]
+
+    def shifted(self, shift: float) -> scipy.sparse.csc_matrix:
+        """The working copy, now holding A - shift*I."""
+        self.matrix.data[self.diag] = self.diagonal - shift
+        return self.matrix
 
 
 def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
@@ -123,20 +166,17 @@ def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
     times the scale.  A shift on an eigenvalue breaks down this way, and
     lowering it keeps the strict count: the count is exact unless an
     eigenvalue lies in (sigma - step, sigma) for the step taken.  Raises
-    FactorizationError when every shift breaks down.
+    FactorizationError when every shift breaks down.  ``matrix`` may be a
+    _Shiftable, which callers counting at several shifts prepare once.
     """
-    A = scipy.sparse.csc_matrix(matrix)
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise ValueError("matrix must be square")
-    scale, shifts = _shift_ladder(A, sigma)
-    floor = n * np.finfo(np.float64).eps * scale
-    eye = scipy.sparse.identity(n, format="csc")
+    A = matrix if isinstance(matrix, _Shiftable) else _Shiftable(matrix)
+    scale, shifts = _shift_ladder(A.max_abs, sigma)
+    floor = A.n * np.finfo(np.float64).eps * scale
     for shift in shifts:
-        shifted = A - shift * eye
+        shifted = A.shifted(shift)
         # SuperLU would pivot an exactly zero diagonal entry off the
         # diagonal, which loses the symmetric order and its sparsity.
-        if not np.all(shifted.diagonal()):
+        if not np.all(shifted.data[A.diag]):
             continue
         try:
             lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
@@ -154,26 +194,31 @@ def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
     )
 
 
-def _residual_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
+def _residual_spot_check(matrix: scipy.sparse.csr_matrix, w: np.ndarray) -> None:
     # Certify a few eigenvalues of the vector-free solve by inverse iteration
     # on the sparse matrix: two solves with B - w[idx]*I from a seeded random
     # start give a unit v, whose true residual and Rayleigh quotient must
-    # both be close to w[idx].  A shift that is an exact eigenvalue makes the
-    # factor exactly singular; it is lowered along the shift ladder.
-    B = scipy.sparse.csc_matrix(matrix)
-    n = B.shape[0]
-    norm = max(float(abs(B).max()), 1.0) * n
+    # both be close to w[idx].  Each shift is factored in SuperLU's symmetric
+    # mode, as inertia_count does, but with threshold pivoting (a diagonal
+    # pivot is kept down to 0.1 of its column's largest entry): the solve
+    # must be stable, and no inertia is read off it.  A shift that is an
+    # exact eigenvalue makes the factor exactly singular; it is lowered
+    # along the shift ladder.
+    B = _Shiftable(matrix)
+    n = B.n
+    norm = max(B.max_abs, 1.0) * n
     idxs = list(range(min(2, n - 1) + 1))
     if n > 3:
         idxs += [n - 2, n - 1]
     if n > 8:
         idxs += [n // 2, n // 2 + 1]
     rng = np.random.default_rng(0)
-    eye = scipy.sparse.identity(n, format="csc")
     for idx in idxs:
-        for shift in _shift_ladder(B, w[idx])[1]:
+        for shift in _shift_ladder(B.max_abs, w[idx])[1]:
             try:
-                lu = scipy.sparse.linalg.splu(B - shift * eye)
+                lu = scipy.sparse.linalg.splu(B.shifted(shift), permc_spec="MMD_AT_PLUS_A",
+                                              diag_pivot_thresh=0.1,
+                                              options=dict(SymmetricMode=True))
                 break
             except RuntimeError:  # exactly singular
                 continue
@@ -186,7 +231,7 @@ def _residual_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
         for _ in range(2):
             v = lu.solve(v)
             v /= np.linalg.norm(v)
-        Bv = B @ v
+        Bv = matrix @ v
         res = np.linalg.norm(Bv - w[idx] * v)
         if not res <= RESIDUAL_RTOL * norm:
             raise ConvergenceError(
@@ -202,7 +247,8 @@ def _residual_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
 
 def _inertia_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
     # Generic shifts at the widest gaps; the strict-below count there must
-    # match the index exactly.
+    # match the index exactly.  The matrix is prepared once for all counts.
+    A = _Shiftable(matrix)
     gaps = np.diff(w)
     order = np.argsort(gaps)[::-1]
     checked = 0
@@ -210,7 +256,7 @@ def _inertia_spot_check(matrix: scipy.sparse.spmatrix, w: np.ndarray) -> None:
         if gaps[idx] <= 1e-8:
             break
         sigma = 0.5 * (w[idx] + w[idx + 1])
-        if inertia_count(matrix, sigma) != idx + 1:
+        if inertia_count(A, sigma) != idx + 1:
             raise ConvergenceError(
                 f"inertia cross-check failed at sigma={float(sigma)}"
             )
@@ -245,10 +291,11 @@ def dense_eigenvalues(matrix: scipy.sparse.spmatrix) -> Spectrum:
     order.  A band of more than BAND_CAP entries, (bandwidth + 1) * order,
     is refused; use slice_spectrum for a window of such a spectrum.
     """
-    n = matrix.shape[0]
-    if n != matrix.shape[1]:
+    A = scipy.sparse.csr_matrix(matrix)
+    n = A.shape[0]
+    if n != A.shape[1]:
         raise ValueError("matrix must be square")
-    offsets, cols, values = _rcm_lower_band(matrix)
+    offsets, cols, values = _rcm_lower_band(A)
     width = int(offsets.max(initial=0)) + 1
     if width * n > BAND_CAP:
         raise CapExceededError(
@@ -261,24 +308,25 @@ def dense_eigenvalues(matrix: scipy.sparse.spmatrix) -> Spectrum:
     trace = float(band[0].sum())  # before the reduction overwrites it
     w = scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
     _check_trace(w, trace)
-    _residual_spot_check(matrix, w)
+    _residual_spot_check(A, w)
     return Spectrum(eigenvalues=w, method="dense")
 
 
-def _solve_slice(matrix, lo, hi, count, rng):
+def _solve_slice(matrix, max_abs, lo, hi, count, rng):
     """Eigenvalues of ``matrix`` in [lo, hi), known to number ``count``.
 
     Shift-invert Lanczos at the slice centre, moved down the shift ladder
     when A - shift*I is exactly singular; a solve that misses part of the
-    slice is repeated with more Lanczos vectors at the next shift.  None
-    when no shift gives ``count`` eigenvalues in the slice.
+    slice is repeated with more Lanczos vectors at the next shift.
+    ``max_abs`` is max |A_ij|, which scales the ladder's steps.  None when
+    no shift gives ``count`` eigenvalues in the slice.
     """
     n = matrix.shape[0]
     if n <= 128 or count > n - 3:
         w = np.linalg.eigvalsh(matrix.toarray())
         return w[(w >= lo) & (w < hi)]
     k = count + max(min(8, n - 2 - count), 0)
-    for shift in _shift_ladder(matrix, 0.5 * (lo + hi))[1]:
+    for shift in _shift_ladder(max_abs, 0.5 * (lo + hi))[1]:
         try:
             vals = scipy.sparse.linalg.eigsh(matrix, k=k, sigma=shift, which="LM",
                                              return_eigenvectors=False,
@@ -308,11 +356,12 @@ def slice_spectrum(matrix: scipy.sparse.spmatrix, interval: tuple[float, float],
     if not a < b:
         raise ValueError("need a < b")
     A = scipy.sparse.csr_matrix(matrix)
+    shiftable = _Shiftable(A)  # prepared once for every count and ladder
     rng = np.random.default_rng(seed)
     scale = max(abs(a), abs(b), 1.0)
     width_floor = 1e-12 * scale
 
-    c_a, c_b = inertia_count(A, a), inertia_count(A, b)
+    c_a, c_b = inertia_count(shiftable, a), inertia_count(shiftable, b)
     work = [(a, b, c_a, c_b)]
     found: list[np.ndarray] = []
     spent = 0
@@ -331,14 +380,14 @@ def slice_spectrum(matrix: scipy.sparse.spmatrix, interval: tuple[float, float],
             continue
         if count <= MAX_SLICE:
             spent += 1
-            got = _solve_slice(A, lo, hi, count, rng)
+            got = _solve_slice(A, shiftable.max_abs, lo, hi, count, rng)
             if got is not None:
                 found.append(got)
                 continue
         # bisect
         spent += 1
         mid = 0.5 * (lo + hi)
-        cmid = inertia_count(A, mid)
+        cmid = inertia_count(shiftable, mid)
         work.append((lo, mid, clo, cmid))
         work.append((mid, hi, cmid, chi))
 
@@ -367,12 +416,35 @@ def _snap_kernel(laplacian_matrix: scipy.sparse.spmatrix, ev: np.ndarray) -> Non
 def is_cube_symmetric(matrix: scipy.sparse.spmatrix, coords: np.ndarray, side: int) -> bool:
     """Whether every generator of the cube's symmetry group maps the vertex
     set onto itself and leaves ``matrix`` (rows and columns in vertex order)
-    exactly unchanged."""
-    A = scipy.sparse.csr_matrix(matrix)
+    exactly unchanged.
+
+    A generator's image keys, taken in key order as build_graph takes
+    neighbours, fall in long sorted runs, so a stable sort (which merges
+    runs) matches them to the sorted vertex keys and gives the vertex map p.
+    The matrix is unchanged under p when row p(i) stores the entries of row
+    i with every column j relabelled p(j).
+    """
+    A = scipy.sparse.csr_matrix(matrix, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()  # a stored zero equals an absent entry
     index = VertexIndex(coords, side)
-    for _, image in cube_generator_images(coords, side):
-        p = index.find(image)
-        if np.any(p < 0) or (A[p][:, p] != A).nnz:
+    keys, order = index.keys, index.order
+    p = np.empty(keys.size, dtype=A.indices.dtype)
+    moved = A.copy()  # A with relabelled columns, refilled per generator
+    for _, image in cube_generator_images(coords[order], side):
+        needles = np.ravel_multi_index(image.T, index.shape)
+        rank = np.argsort(needles, kind="stable")
+        if not np.array_equal(needles[rank], keys):
+            return False
+        p[order[rank]] = order
+        np.take(p, A.indices, out=moved.indices)
+        moved.data[:] = A.data
+        moved.has_sorted_indices = False
+        moved.sort_indices()
+        image_rows = A[p]
+        if not (np.array_equal(image_rows.indptr, moved.indptr)
+                and np.array_equal(image_rows.indices, moved.indices)
+                and np.array_equal(image_rows.data, moved.data)):
             return False
     return True
 
@@ -496,10 +568,11 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
         "blocks": spectrum.blocks,
         "solver": solver_settings(),
     }
-    payload = {"header": header, "eigenvalues": [float(x) for x in spectrum.eigenvalues]}
+    payload = {"header": header, "eigenvalues": spectrum.eigenvalues.tolist()}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        # dumps runs the C encoder; dump streams through the Python one
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

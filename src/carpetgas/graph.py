@@ -53,20 +53,14 @@ class ApproxGraph:
 
 
 class VertexIndex:
-    """Vertex lookup by grid coordinate through sorted raveled keys."""
+    """Sorted raveled grid keys of the vertices (``keys``) and the vertex
+    at each (``order``), for lookups in key order."""
 
     def __init__(self, coords: np.ndarray, side: int):
         self.shape = (side,) * coords.shape[1]
         keys = np.ravel_multi_index(coords.T, self.shape)
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
-
-    def find(self, targets: np.ndarray) -> np.ndarray:
-        """Index of the vertex at each target (rows inside the grid), -1 where
-        there is none."""
-        key = np.ravel_multi_index(targets.T, self.shape)
-        pos = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
-        return np.where(self.keys[pos] == key, self.order[pos], -1)
 
 
 def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> ApproxGraph:

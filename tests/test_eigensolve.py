@@ -1,6 +1,7 @@
 """Eigensolvers: the banded block route and slices against LAPACK's dense
 solver, symmetry sectors, inertia counts, caching."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -185,6 +186,18 @@ class TestInertia:
         with pytest.raises(FactorizationError):
             inertia_count(sp.diags([1.0, np.nan, 2.0]), 0.5)
 
+    def test_isolated_vertex_without_a_stored_diagonal(self, sc31_l2_lap):
+        # a vertex of degree 0 stores no diagonal entry; the prepared matrix
+        # stores an explicit zero there, which each shift rewrites
+        lap = sp.block_diag([sc31_l2_lap, sp.csr_matrix((1, 1))], format="csr")
+        assert lap.diagonal()[-1] == 0.0 and lap[64].nnz == 0
+        w = np.linalg.eigvalsh(lap.toarray())
+        assert np.count_nonzero(np.abs(w) < 1e-12) == 2
+        for sigma in (-0.5, 0.0, 1e-3, 0.5 * (w[10] + w[11]), 3.0, float(w[-1]) + 1.0):
+            assert inertia_count(lap, sigma) == int(np.count_nonzero(w < sigma - 1e-9)), sigma
+        got = dense_eigenvalues(lap).eigenvalues
+        assert np.max(np.abs(got - w)) <= 1e-12 * w[-1]
+
 
 class TestSliceSpectrum:
     def test_matches_dense_on_carpet(self, sc31_l3_lap):
@@ -303,6 +316,67 @@ class TestComputeSpectrum:
         assert len(spec.blocks) == 5
         assert calls == {"eigvals_banded": 5, "eigvalsh": 0, "eigh": 0}
 
+    def test_certificate_work_is_pinned(self, monkeypatch):
+        # SC(3,1) L3 Neumann: 5 blocks x 7 inverse-iteration factors plus 3
+        # whole-Laplacian inertia counts, each matrix prepared once
+        splu = spla.splu
+        factored, prepared = [], []
+
+        def counted(*args, **kwargs):
+            factored.append(kwargs.get("diag_pivot_thresh"))
+            return splu(*args, **kwargs)
+
+        class Counted(eigensolve._Shiftable):
+            def __init__(self, matrix):
+                prepared.append(matrix.shape[0])
+                super().__init__(matrix)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(eigensolve, "_Shiftable", Counted)
+        spec = compute_spectrum(build_graph(preset("SC(3,1)"), 3), "neumann")
+        assert spec.blocks == [(68, 1), (64, 1), (128, 2), (64, 1), (60, 1)]
+        assert factored == [0.1] * 35 + [0.0] * 3
+        assert prepared == [68, 64, 128, 64, 60, 512]
+
+    def test_block_moved_across_a_gap_rejected(self, monkeypatch):
+        # one eigenvalue of a block moved up across the widest gap, the rest
+        # of the block moved down to keep the trace: the block's own checks
+        # are past, and the inertia cross-check on the Laplacian must fail
+        g = build_graph(preset("SC(3,1)"), 3)
+        w = compute_spectrum(g).eigenvalues
+        k = int(np.argmax(np.diff(w)))
+        below, gap = w[k], w[k + 1] - w[k]
+        solve = eigensolve.dense_eigenvalues
+
+        def moved(matrix):
+            spec = solve(matrix)
+            ev = spec.eigenvalues
+            hit = np.flatnonzero(np.abs(ev - below) <= 1e-12 * w[-1])
+            if hit.size:
+                step = 0.75 * gap
+                ev[hit[0]] += step
+                others = np.arange(ev.size) != hit[0]
+                ev[others] -= step / (ev.size - 1)
+            return Spectrum(eigenvalues=ev, method=spec.method)
+
+        monkeypatch.setattr(eigensolve, "dense_eigenvalues", moved)
+        with pytest.raises(ConvergenceError, match="inertia cross-check"):
+            compute_spectrum(g)
+
+    def test_wrong_block_multiplicity_rejected(self, monkeypatch):
+        # one copy too many of the first block: the merged spectrum has more
+        # modes than the Laplacian has rows
+        blocks = eigensolve._symmetry_blocks
+
+        def miscounted(graph, bc, L):
+            got = blocks(graph, bc, L)
+            got[0] = (got[0][0], got[0][1] + 1)
+            return got
+
+        monkeypatch.setattr(eigensolve, "_symmetry_blocks", miscounted)
+        with pytest.raises(ConvergenceError, match="blocks hold 580 modes, matrix order 512"):
+            compute_spectrum(build_graph(preset("SC(3,1)"), 3))
+
     def test_neumann_kernel_is_exact_zero(self):
         s = compute_spectrum(build_graph(preset("MS(3,1)"), 2), bc="neumann")
         assert s.eigenvalues[0] == 0.0
@@ -399,6 +473,17 @@ class TestSaveLoad:
         assert got.complete is False
         assert got.method == "sliced"
         assert got.blocks == []
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the CLI keys its model cache on the sha256 of these bytes, so a
+        # change of the writer must not move them
+        src = Spectrum(eigenvalues=np.array([0.0, 0.25, 1.0 / 3.0, 5e-324, 7.125e300]),
+                       bc="dirichlet", level=3, spec_hash="abc123", complete=False,
+                       method="sliced", blocks=[(2, 1), (3, 1)])
+        path = tmp_path / "spec.json"
+        save_spectrum(src, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7e209f897e1557809114429073fa56ea7fffa940be21e21d333c3218c1d1789a")
 
     def test_blocks_and_solver_settings_recorded(self, tmp_path):
         spectrum = compute_spectrum(build_graph(preset("SC(3,1)"), 2))

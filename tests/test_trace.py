@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from carpetgas import trace
 from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
@@ -149,6 +150,47 @@ class TestTraceInversion:
         for target in (2.0, 10.0, 40.0):
             t = t_at_trace(spec, target)
             assert trace_value(spec, t) == pytest.approx(target, rel=1e-10)
+
+    @staticmethod
+    def _bisection(spectrum, target):
+        # the plain bisection in log t that t_at_trace must reproduce
+        lo, hi = -60.0, 60.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if trace_value(spectrum, math.exp(mid)) > target:
+                lo = mid
+            else:
+                hi = mid
+        return math.exp(0.5 * (lo + hi))
+
+    @pytest.mark.parametrize("name", ["sc31_l3_dirichlet", "sc31_l4_neumann",
+                                      "ms31_l2_neumann", "ms31_l3_neumann"])
+    def test_t_at_trace_is_the_bisection_bit_for_bit(self, request, name):
+        spec = request.getfixturevalue(name)
+        floor, n = spec.num_zero_modes, spec.n
+        targets = [floor + 1e-12, floor + 1e-9, floor + 0.5, 4.0, 10.0, 0.1 * n,
+                   0.25 * n, 0.5 * n, n - 1.0, n - 1e-9, math.nextafter(float(n), 0.0)]
+        targets += list(floor + (n - floor) * np.random.default_rng(3).random(8))
+        for target in targets:
+            assert t_at_trace(spec, target) == self._bisection(spec, target), target
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_t_at_trace_with_a_negative_eigenvalue(self):
+        # rounding can leave a ground mode just below zero, where K(t) grows
+        # again at large t; the answer is still the bisection's
+        spec = Spectrum(eigenvalues=np.array([-2e-15, 0.3, 0.7, 1.0, 2.5]))
+        for target in (1.0 + 1e-9, 1.5, 2.0, 3.0, 4.5):
+            assert t_at_trace(spec, target) == self._bisection(spec, target), target
+
+    def test_t_at_trace_evaluates_fewer_traces(self, sc31_l4_neumann, monkeypatch):
+        calls = []
+        real = trace.trace_value
+        monkeypatch.setattr(trace, "trace_value",
+                            lambda s, t: calls.append(t) or real(s, t))
+        t_at_trace(sc31_l4_neumann, 0.1 * sc31_l4_neumann.n)
+        assert len(calls) < 40  # bisection: 60
 
     def test_t_at_trace_domain(self):
         spec = box_spectrum(unit_box(1, bc="neumann"), cutoff=1000.0)
