@@ -3,8 +3,9 @@
 Stages write their artifacts under an output directory with content-hash
 provenance in the file names; downstream stages reuse cached upstream
 artifacts instead of recomputing them.  All writes go through a temp file
-and an atomic rename, floats are emitted with 17 significant digits, and a
-rerun with the same inputs produces byte-identical files.
+and an atomic rename, CSV floats are emitted with 17 significant digits and
+JSON floats as Python's shortest round-trip repr, and a rerun with the same
+inputs produces byte-identical files.
 
 The cache directory defaults to <out>/cache and can be redirected with the
 CARPETGAS_CACHE environment variable.
@@ -26,7 +27,7 @@ import numpy as np
 from . import eigensolve, geometry, oracle, thermo, trace, zeta
 from .errors import DIVERGED, CarpetGasError, DomainError
 from .geometry import CarpetSpec
-from .graph import build_graph, degree_stats, export_graph
+from .graph import build_graph, export_graph
 
 FLOAT_FMT = "%.17g"
 CACHE_ENV = "CARPETGAS_CACHE"
@@ -39,7 +40,7 @@ def _f(x) -> str:
 
 
 def _json_safe(obj):
-    """Recursively convert to JSON-serializable values with stable floats."""
+    """Recursively convert to JSON-serializable values."""
     if obj is DIVERGED:
         return "DIVERGED"
     if isinstance(obj, dict):
@@ -52,9 +53,6 @@ def _json_safe(obj):
         return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, float):
-        # round-trip through the fixed format so emitted JSON is stable
-        return float(FLOAT_FMT % obj)
     return obj
 
 
@@ -265,7 +263,6 @@ def cmd_graph_build(ns) -> int:
             "n_vertices": g.n_vertices,
             "n_edges": g.n_edges,
             "n_boundary": int(g.boundary.size),
-            "degrees": degree_stats(g),
         }
     _emit({
         "stage": "graph-build",

@@ -148,100 +148,28 @@ def trace_value(spectrum: Spectrum, t: float) -> float:
 
 
 def t_at_trace(spectrum: Spectrum, target: float) -> float:
-    """t such that K(t) = target: the result of bisection in x = log t on
-    [-60, 60] (at most 200 halvings, K being decreasing), bit for bit.
+    """t such that K(t) = target, by bisection in x = log t on [-60, 60]
+    (at most 200 halvings).
 
-    The bisection evaluates K only at the midpoints that fall inside a
-    bracket (a, b) found first by _sure_bracket; every midpoint at or below
-    a is above the target and every one at or above b is not, so skipping
-    them leaves each decision, and so the final bracket, as it was.
+    K is evaluated on the eigenvalues clipped at 0, so a ground mode that
+    rounding left just below zero counts as the kernel mode it is and K is
+    non-increasing in t on every input.
     """
     n = spectrum.n
     floor = spectrum.num_zero_modes
     if not floor < target < n:
         raise DomainError(f"target {target} outside (zero modes, n) = ({floor}, {n})")
+    ev = np.maximum(spectrum.eigenvalues, 0.0)
     lo, hi = -60.0, 60.0
-    a, b = _sure_bracket(spectrum, target, lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid <= a or (mid < b and trace_value(spectrum, math.exp(mid)) > target):
+        if float(trace_values(ev, math.exp(mid))) > target:
             lo = mid
         else:
             hi = mid
     return math.exp(0.5 * (lo + hi))
-
-
-def _sure_bracket(spectrum: Spectrum, target: float, lo: float,
-                  hi: float) -> tuple[float, float]:
-    """(a, b) in [lo, hi] such that the computed K(e^x) is above ``target``
-    at every x <= a and below it at every x >= b.
-
-    Without negative eigenvalues K(e^x) is non-increasing, and the computed
-    K is within err <= eps * n * (21 + log2 n) of it: 4 ulp from each exp,
-    v e^-v * 1.5 eps <= 0.56 eps per term from rounding t and lambda t, and
-    (16 + log2 n) eps * K from numpy's pairwise sum.  A point whose computed
-    excess K - target exceeds noise = 2 err in magnitude therefore bounds
-    the sign of the excess on its side.  Bracketed secant steps (Illinois)
-    from t = 1/lambda_target, where about ``target`` modes have lambda t <= 1,
-    close in on the root until one lands within the noise; steps out from
-    there, widening eightfold, then give the two ends.  A spectrum with a
-    negative eigenvalue gets (lo, hi), which leaves the bisection whole.
-    """
-    ev = spectrum.eigenvalues
-    if ev[0] < 0:
-        return lo, hi
-    n = ev.size
-    noise = 2.0 * (21.0 + math.log2(n)) * n * np.finfo(np.float64).eps
-    a, b = lo, hi
-
-    def excess(x):
-        nonlocal a, b
-        f = trace_value(spectrum, math.exp(x)) - target
-        if f > noise:
-            a = max(a, x)
-        elif f < -noise:
-            b = min(b, x)
-        return f
-
-    guess = ev[min(n - 1, int(target))]
-    x = min(max(-math.log(guess), lo), hi) if guess > 0 else 0.0
-    p = q = x  # secant bracket: excess(p) > 0 >= excess(q)
-    fp = fq = excess(x)
-    step = 1.0
-    while fp <= 0 and p > lo:
-        q, fq, p = p, fp, max(p - step, lo)
-        fp, step = excess(p), 4.0 * step
-    while fq > 0 and q < hi:
-        p, fp, q = q, fq, min(q + step, hi)
-        fq, step = excess(q), 4.0 * step
-    side = 0
-    for _ in range(16):  # a step outside the noise still narrows (a, b)
-        if not fp > 0 >= fq:
-            break
-        x = q - fq * (q - p) / (fq - fp)
-        if not p < x < q:
-            x = 0.5 * (p + q)
-            if not p < x < q:
-                break
-        fx = excess(x)
-        if abs(fx) <= noise:
-            width = noise * (q - p) / (fp - fq)
-            for sign in (-1.0, 1.0):
-                reach = 2.0 * width
-                while a < x + sign * reach < b and abs(excess(x + sign * reach)) <= noise:
-                    reach *= 8.0
-            break
-        if fx > 0:
-            p, fp = x, fx
-            fq *= 0.5 if side > 0 else 1.0
-            side = 1
-        else:
-            q, fq = x, fx
-            fp *= 0.5 if side < 0 else 1.0
-            side = -1
-    return a, b
 
 
 def default_windows(spectrum: Spectrum) -> dict:

@@ -348,13 +348,15 @@ def casimir_energy(source) -> float:
     """E_Cas = (1/2) zeta(-1/2) at gamma = 0.
 
     For a finite Spectrum the zeta function is entire and the value is the
-    plain half-sum of mode frequencies (0 for an empty spectrum); for an
-    extension it is the continued value, whose imaginary part must vanish.
+    plain half-sum of mode frequencies (0 for an empty spectrum), with
+    eigenvalues clipped at 0 so a kernel mode rounded just below zero
+    counts as the zero mode it is; for an extension it is the continued
+    value, whose imaginary part must vanish.
     """
     if isinstance(source, Spectrum):
         if source.n == 0:
             return 0.0
-        return 0.5 * float(np.sum(np.sqrt(source.eigenvalues)))
+        return 0.5 * float(np.sum(np.sqrt(np.maximum(source.eigenvalues, 0.0))))
     ext = source
     if ext.gamma != 0:
         raise DomainError("Casimir energy is defined for the gamma = 0 extension")

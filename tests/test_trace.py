@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from carpetgas import trace
 from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
@@ -176,21 +175,26 @@ class TestTraceInversion:
         for target in targets:
             assert t_at_trace(spec, target) == self._bisection(spec, target), target
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_t_at_trace_with_a_negative_eigenvalue(self):
-        # rounding can leave a ground mode just below zero, where K(t) grows
-        # again at large t; the answer is still the bisection's
-        spec = Spectrum(eigenvalues=np.array([-2e-15, 0.3, 0.7, 1.0, 2.5]))
+        # rounding can leave a ground mode just below zero; it counts as the
+        # kernel mode it is, so the answer is the bisection on the clipped
+        # eigenvalues, where K(t) is non-increasing
+        ev = np.array([-2e-15, 0.3, 0.7, 1.0, 2.5])
+        spec, clipped = Spectrum(eigenvalues=ev), Spectrum(eigenvalues=np.maximum(ev, 0.0))
         for target in (1.0 + 1e-9, 1.5, 2.0, 3.0, 4.5):
-            assert t_at_trace(spec, target) == self._bisection(spec, target), target
+            assert t_at_trace(spec, target) == self._bisection(clipped, target), target
+        assert t_at_trace(spec, 1.0 + 1e-9) == pytest.approx(69.0776, rel=1e-6)
 
-    def test_t_at_trace_evaluates_fewer_traces(self, sc31_l4_neumann, monkeypatch):
-        calls = []
-        real = trace.trace_value
-        monkeypatch.setattr(trace, "trace_value",
-                            lambda s, t: calls.append(t) or real(s, t))
-        t_at_trace(sc31_l4_neumann, 0.1 * sc31_l4_neumann.n)
-        assert len(calls) < 40  # bisection: 60
+    def test_t_at_trace_near_the_floor_of_a_stored_spectrum(self, stored_sc31_l4_neumann):
+        # ground mode -1.96e-15: the unclipped K never falls to 1 + 1e-9 and
+        # overflows past t = 3.6e17
+        spec = stored_sc31_l4_neumann
+        assert spec.eigenvalues[0] < 0 and spec.num_zero_modes == 1
+        clipped = Spectrum(eigenvalues=np.maximum(spec.eigenvalues, 0.0))
+        t = t_at_trace(spec, 1.0 + 1e-9)
+        assert t == self._bisection(clipped, 1.0 + 1e-9)
+        assert t == pytest.approx(3.2099e4, rel=1e-4)
+        assert trace_value(clipped, t) == pytest.approx(1.0 + 1e-9, rel=1e-12)
 
     def test_t_at_trace_domain(self):
         spec = box_spectrum(unit_box(1, bc="neumann"), cutoff=1000.0)

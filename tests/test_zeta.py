@@ -310,6 +310,15 @@ class TestCasimir:
     def test_empty_spectrum(self):
         assert casimir_energy(Spectrum(eigenvalues=np.zeros(0))) == 0.0
 
+    def test_negative_ground_mode_counts_as_zero(self, stored_sc31_l4_neumann):
+        # the stored reference's ground mode is rounded to -1.96e-15
+        ev = stored_sc31_l4_neumann.eigenvalues
+        assert ev[0] < 0
+        got = casimir_energy(stored_sc31_l4_neumann)
+        assert math.isfinite(got)
+        assert got == pytest.approx(
+            0.5 * math.fsum(math.sqrt(max(v, 0.0)) for v in ev.tolist()), rel=1e-14)
+
     def test_gamma_shift_rejected(self):
         ext = build_extension(box_model(1, bc="dirichlet"), 1.0, None,
                               allow_truncated_tail=True)
