@@ -1,21 +1,22 @@
 """Full and partial eigensolvers for sparse symmetric matrices.
 
 compute_spectrum solves a level-graph Laplacian one block at a time: one
-block per class of symmetry sectors when the Laplacian is invariant under
-the cube's symmetries (Serre, Linear Representations of Finite Groups,
-section 8), else the whole Laplacian.  Each block is renumbered in reverse
-Cuthill-McKee order (Cuthill & McKee, Reducing the bandwidth of sparse
-symmetric matrices, 1969), which keeps a grid-like matrix in a narrow band,
-and goes whole to LAPACK's band eigensolver, certified by the trace identity
-and inverse iteration on the sparse block.  slice_spectrum solves a window
-of the spectrum by inertia bisection with shift-invert Lanczos per slice,
-each slice checked against its inertia difference (Parlett, The Symmetric
-Eigenvalue Problem, section 3.3).  Inertia counts come from a SuperLU
-factorization restricted to diagonal pivots.  Every certificate prepares
-its matrix once (_Shiftable) and factors A - shift*I for each shift by
-rewriting the stored diagonal in place, always in SuperLU's symmetric mode:
-diagonal pivots only for an inertia count, threshold pivoting for the
-stable solves of inverse iteration.
+block per class of symmetry sectors when the carpet's mask passes H1, which
+makes the Laplacian invariant under the cube's symmetries (Serre, Linear
+Representations of Finite Groups, section 8), else the whole Laplacian.
+Each block is renumbered in reverse Cuthill-McKee order (Cuthill & McKee,
+Reducing the bandwidth of sparse symmetric matrices, 1969), which keeps a
+grid-like matrix in a narrow band, and goes whole to LAPACK's band
+eigensolver, certified by the trace identity and inverse iteration on the
+sparse block.  slice_spectrum solves a window of the spectrum by inertia
+bisection with shift-invert Lanczos per slice, each slice checked against
+its inertia difference (Parlett, The Symmetric Eigenvalue Problem, section
+3.3).  Inertia counts come from a SuperLU factorization restricted to
+diagonal pivots.  Every certificate prepares its matrix once (_Shiftable)
+and factors A - shift*I for each shift by rewriting the stored diagonal in
+place, always in SuperLU's symmetric mode: diagonal pivots only for an
+inertia count, threshold pivoting for the stable solves of inverse
+iteration.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 import scipy
 
 from .errors import CapExceededError, ConvergenceError, FactorizationError
-from .geometry import cube_generator_images
-from .graph import VertexIndex, laplacian
+from .geometry import validate_spec
+from .graph import laplacian
 
 # Names the solver behaviour behind a spectrum; change it with any change to
 # the solvers that can move cached eigenvalues.
@@ -62,7 +63,7 @@ class Spectrum:
     ``method`` records the route that ran: "dense" for a complete direct
     solve, "sliced" for a slice_spectrum window (oracle box spectra say
     "oracle-box").  ``blocks`` holds the (order, multiplicity) of every block
-    solved; a Laplacian without the cube's symmetry is one block (n, 1).
+    solved; a carpet whose mask fails H1 is one block (n, 1).
     """
 
     eigenvalues: np.ndarray
@@ -413,42 +414,6 @@ def _snap_kernel(laplacian_matrix: scipy.sparse.spmatrix, ev: np.ndarray) -> Non
     ev[:k] = 0.0
 
 
-def is_cube_symmetric(matrix: scipy.sparse.spmatrix, coords: np.ndarray, side: int) -> bool:
-    """Whether every generator of the cube's symmetry group maps the vertex
-    set onto itself and leaves ``matrix`` (rows and columns in vertex order)
-    exactly unchanged.
-
-    A generator's image keys, taken in key order as build_graph takes
-    neighbours, fall in long sorted runs, so a stable sort (which merges
-    runs) matches them to the sorted vertex keys and gives the vertex map p.
-    The matrix is unchanged under p when row p(i) stores the entries of row
-    i with every column j relabelled p(j).
-    """
-    A = scipy.sparse.csr_matrix(matrix, copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()  # a stored zero equals an absent entry
-    index = VertexIndex(coords, side)
-    keys, order = index.keys, index.order
-    p = np.empty(keys.size, dtype=A.indices.dtype)
-    moved = A.copy()  # A with relabelled columns, refilled per generator
-    for _, image in cube_generator_images(coords[order], side):
-        needles = np.ravel_multi_index(image.T, index.shape)
-        rank = np.argsort(needles, kind="stable")
-        if not np.array_equal(needles[rank], keys):
-            return False
-        p[order[rank]] = order
-        np.take(p, A.indices, out=moved.indices)
-        moved.data[:] = A.data
-        moved.has_sorted_indices = False
-        moved.sort_indices()
-        image_rows = A[p]
-        if not (np.array_equal(image_rows.indptr, moved.indptr)
-                and np.array_equal(image_rows.indices, moved.indices)
-                and np.array_equal(image_rows.data, moved.data)):
-            return False
-    return True
-
-
 def sector_basis(coords: np.ndarray, side: int, signs,
                  parity: int = 0) -> scipy.sparse.csr_matrix:
     """Sparse orthonormal basis (vertices x k) of one symmetry sector.
@@ -504,14 +469,25 @@ def symmetry_sectors(d: int) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def _symmetry_blocks(graph, bc: str, L: scipy.sparse.csr_matrix) -> list:
+def _symmetry_blocks(graph, bc: str) -> list:
     """(basis, multiplicity) of each block to solve: one per class of
-    isospectral symmetry sectors, or the whole matrix, [(identity, 1)], when
-    the Laplacian is not invariant under the cube's symmetry group."""
+    isospectral symmetry sectors when the carpet's mask passes H1, else the
+    whole matrix, [(identity, 1)].
+
+    The mask's H1 verdict is the level-n Laplacian's.  A level-n coordinate
+    is a base-l digit string of mask cells, x = sum_k l^(n-k) c_k, and an
+    axis flip acts digit by digit, l^n - 1 - x = sum_k l^(n-k) (l - 1 - c_k),
+    as an axis permutation does.  So a generator of the cube's symmetry
+    group maps the level-n cells onto themselves exactly when it maps the
+    mask onto itself; the top digit gives the converse.  Every isometry of
+    the cube keeps face adjacency, vertex adjacency and the outer boundary,
+    so the Neumann and Dirichlet Laplacians are invariant exactly when the
+    mask passes H1.
+    """
     coords = graph.coords if bc == "neumann" else np.delete(graph.coords, graph.boundary, axis=0)
+    if not validate_spec(graph.spec).h1:
+        return [(scipy.sparse.identity(coords.shape[0], format="csr"), 1)]
     side = graph.spec.l**graph.level
-    if not is_cube_symmetric(L, coords, side):
-        return [(scipy.sparse.identity(L.shape[0], format="csr"), 1)]
     sectors = [(sector_basis(coords, side, signs, parity), mult)
                for signs, parity, mult in symmetry_sectors(coords.shape[1])]
     return [(P, mult) for P, mult in sectors if P.shape[1]]
@@ -527,7 +503,7 @@ def compute_spectrum(graph, bc: str = "neumann") -> Spectrum:
     """
     L = laplacian(graph, bc)
     parts, blocks = [], []
-    for P, mult in _symmetry_blocks(graph, bc, L):
+    for P, mult in _symmetry_blocks(graph, bc):
         B = (P.T @ L @ P).tocsr()
         parts.append(np.tile(dense_eigenvalues(B).eigenvalues, mult))
         blocks.append((B.shape[0], mult))

@@ -52,17 +52,6 @@ class ApproxGraph:
         return deg
 
 
-class VertexIndex:
-    """Sorted raveled grid keys of the vertices (``keys``) and the vertex
-    at each (``order``), for lookups in key order."""
-
-    def __init__(self, coords: np.ndarray, side: int):
-        self.shape = (side,) * coords.shape[1]
-        keys = np.ravel_multi_index(coords.T, self.shape)
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
-
-
 def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> ApproxGraph:
     """Build the level-n cell graph; vertices in lexicographic address order.
 
@@ -87,11 +76,13 @@ def build_graph(spec: CarpetSpec, level: int, adjacency: str = "face") -> Approx
         coords = (l * coords[:, None, :] + cells[None, :, :]).reshape(-1, d)
 
     side = l**level
-    index = VertexIndex(coords, side)
-    keys, order = index.keys, index.order
+    # sorted raveled grid keys and the vertex at each
+    keys = np.ravel_multi_index(coords.T, (side,) * d)
+    order = np.argsort(keys)
+    keys = keys[order]
     # coordinate columns in key order: each offset's bounds test keeps the
     # needles keys + stride sorted, and no n x d neighbour array is made
-    columns = np.unravel_index(keys, index.shape)
+    columns = np.unravel_index(keys, (side,) * d)
     offsets = [
         off
         for off in itertools.product((-1, 0, 1), repeat=d)
@@ -171,7 +162,7 @@ def degree_stats(graph: ApproxGraph) -> dict:
     }
 
 
-def export_graph(graph: ApproxGraph, edges_path, meta_path, bc: str | None = None) -> None:
+def export_graph(graph: ApproxGraph, edges_path, meta_path) -> None:
     """Edge list (one 'i j' per line) plus a JSON metadata header."""
     with open(edges_path, "w", encoding="utf-8") as fh:
         for i, j in graph.edges.tolist():
@@ -179,7 +170,6 @@ def export_graph(graph: ApproxGraph, edges_path, meta_path, bc: str | None = Non
     meta = {
         "spec_hash": graph.spec.spec_hash(),
         "level": graph.level,
-        "bc": bc,
         "adjacency": graph.adjacency,
         "n_vertices": graph.n_vertices,
         "n_edges": graph.n_edges,

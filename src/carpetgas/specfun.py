@@ -22,7 +22,6 @@ __all__ = [
     "gamma",
     "gamma_reciprocal",
     "riemann_zeta",
-    "polylog",
     "polylog_complex",
 ]
 
@@ -197,10 +196,3 @@ def polylog_complex(s: complex, z: float) -> complex:
     if z <= 0.75:
         return _polylog_series(s, z)
     return _polylog_near_one(s, z)
-
-
-def polylog(s: float, z: float) -> float:
-    """Real polylogarithm Li_s(z) for s > 1, 0 < z <= 1."""
-    if s <= 1.0:
-        raise DomainError(f"polylog requires s > 1, got s={s}")
-    return polylog_complex(complex(s), z).real

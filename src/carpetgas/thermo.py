@@ -62,10 +62,11 @@ class GasState:
 
 
 def max_fugacity(spectrum: Spectrum, state: GasState) -> float:
-    """Occupations stay finite for z < e^(beta E_0 / L^2)."""
+    """Occupations stay finite for z < e^(beta E_0 / L^2), with E_0 clipped
+    at 0 as _log_gaps clips every mode."""
     if spectrum.n == 0:
         raise DomainError("empty spectrum has no fugacity bound")
-    e0 = float(spectrum.eigenvalues[0])
+    e0 = max(float(spectrum.eigenvalues[0]), 0.0)
     return math.exp(state.beta * e0 / (state.L * state.L))
 
 
@@ -75,9 +76,11 @@ def _log_gaps(state: GasState, eigenvalues: np.ndarray) -> np.ndarray | None:
     This is the one domain rule of the spectrum path: the state lies below
     the fugacity cap iff every u_j > 0, and the occupations are
     1 / expm1(u_j).  Every spectrum-path observable and solve_fugacity apply
-    it, so a z accepted by one is accepted by all.
+    it, so a z accepted by one is accepted by all.  The eigenvalues are
+    clipped at 0, so a kernel mode rounded just below zero counts as the
+    zero mode it is.
     """
-    u = state.beta * eigenvalues / (state.L * state.L) - math.log(state.z)
+    u = state.beta * np.maximum(eigenvalues, 0.0) / (state.L * state.L) - math.log(state.z)
     return u if np.all(u > 0.0) else None
 
 
@@ -248,7 +251,7 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
         if source.n == 0:
             raise DomainError("empty spectrum has no fugacity bound")
         ground = source.eigenvalues[:1]
-        log_top = beta * float(ground[0]) / (L * L)
+        log_top = beta * max(float(ground[0]), 0.0) / (L * L)
 
         def density(z):
             state = GasState(beta=beta, z=z, L=L)

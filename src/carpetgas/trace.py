@@ -143,10 +143,6 @@ def heat_trace(spectrum: Spectrum, t_grid) -> WeylSeries:
     return WeylSeries(t=t, K=trace_values(spectrum.eigenvalues, t))
 
 
-def trace_value(spectrum: Spectrum, t: float) -> float:
-    return float(trace_values(spectrum.eigenvalues, t))
-
-
 def t_at_trace(spectrum: Spectrum, target: float) -> float:
     """t such that K(t) = target, by bisection in x = log t on [-60, 60]
     (at most 200 halvings).

@@ -235,7 +235,7 @@ class TestStatsAndExport:
         g = build_graph(sc31, 2)
         edges_path = tmp_path / "g.edges"
         meta_path = tmp_path / "g.json"
-        export_graph(g, edges_path, meta_path, bc="neumann")
+        export_graph(g, edges_path, meta_path)
         lines = edges_path.read_text().strip().splitlines()
         assert len(lines) == g.n_edges
         pairs = np.asarray([[int(t) for t in ln.split()] for ln in lines])
@@ -243,5 +243,5 @@ class TestStatsAndExport:
         meta = json.loads(meta_path.read_text())
         assert meta["n_vertices"] == g.n_vertices
         assert meta["n_boundary"] == int(g.boundary.size)
-        assert meta["bc"] == "neumann"
+        assert "bc" not in meta
         assert meta["spec_hash"] == sc31.spec_hash()

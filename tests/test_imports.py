@@ -1,5 +1,6 @@
 """Every name an import binds in a package module is used in that module,
-and so is every private name the module defines at top level."""
+and so is every private name the module defines at top level; every name a
+module lists in ``__all__`` is bound at its top level."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "carpetgas"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,3 +74,35 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in a module-level ``__all__`` that no top-level def,
+    class, assignment or import of the module binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_export_scanner_flags_unbound_names():
+    src = ("from x import a\nimport os.path\nB = 1\n"
+           "def f():\n    g = 2\n    return g\n"
+           "class K:\n    pass\n"
+           "__all__ = ['a', 'os', 'B', 'f', 'K', 'g', 'missing']\n")
+    assert unbound_exports(src) == ["g", "missing"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []

@@ -12,7 +12,6 @@ from carpetgas.specfun import (
     _B2K,
     gamma,
     gamma_reciprocal,
-    polylog,
     polylog_complex,
     riemann_zeta,
 )
@@ -150,16 +149,16 @@ class TestZeta:
 
 class TestPolylog:
     def test_frozen_reference(self):
-        assert abs(polylog(1.5, 0.3) - LI_32_03) <= 1e-13
+        assert abs(polylog_complex(1.5, 0.3).real - LI_32_03) <= 1e-13
 
     def test_brute_series(self):
         # direct 10k-term sum converges fast at z = 0.3
         z, s = 0.3, 1.5
         brute = math.fsum(z**n / n**s for n in range(1, 10000))
-        assert abs(polylog(s, z) - brute) <= 1e-14
+        assert abs(polylog_complex(s, z).real - brute) <= 1e-14
 
     def test_z_one_is_zeta(self):
-        assert polylog(2.5, 1.0) == riemann_zeta(2.5 + 0j).real
+        assert polylog_complex(2.5, 1.0).real == riemann_zeta(2.5 + 0j).real
 
     def test_duplication_random(self):
         # Li_s(z) + Li_s(-z) = 2^(1-s) Li_s(z^2); the alternating series
@@ -169,8 +168,8 @@ class TestPolylog:
             s = rng.uniform(1.2, 5.0)
             z = rng.uniform(0.05, 0.98)
             li_minus = math.fsum((-z) ** n / n**s for n in range(1, 4000))
-            lhs = polylog(s, z) + li_minus
-            rhs = 2 ** (1 - s) * polylog(s, z * z)
+            lhs = polylog_complex(s, z).real + li_minus
+            rhs = 2 ** (1 - s) * polylog_complex(s, z * z).real
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_jonquiere_route_continuity(self):
@@ -189,8 +188,6 @@ class TestPolylog:
             assert abs(polylog_complex(s, z) - ref) <= 1e-12 * max(1e-8, abs(ref))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            polylog(0.8, 0.5)
         with pytest.raises(DomainError):
             polylog_complex(1.0 + 0j, 1.0)
         with pytest.raises(DomainError):

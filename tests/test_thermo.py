@@ -276,11 +276,15 @@ class TestFugacity:
         spec = Spectrum(eigenvalues=np.array([-3e-15, 0.5, 1.0, 2.0]))
         self.assert_solved_inside_cap(spec, 1.0, 50.0)
 
-    def test_stored_sc31_l4_spectrum(self, sc31_l4_neumann):
-        # the stored zero mode is rounding noise (-2e-15), not an exact 0
+    def test_stored_sc31_l4_spectrum(self, stored_sc31_l4_neumann):
+        # the stored zero mode is rounding noise (-2e-15), not an exact 0;
+        # clipped at 0 it caps the fugacity at exactly 1, as a computed
+        # spectrum's snapped kernel does
+        assert stored_sc31_l4_neumann.eigenvalues[0] < 0.0
+        assert max_fugacity(stored_sc31_l4_neumann, GasState(beta=1.0, z=0.5)) == 1.0
         beta = 0.3
-        target = particle_density(GasState(beta=beta, z=0.5), sc31_l4_neumann, v_s=1.0)
-        self.assert_solved_inside_cap(sc31_l4_neumann, beta, target)
+        target = particle_density(GasState(beta=beta, z=0.5), stored_sc31_l4_neumann, v_s=1.0)
+        self.assert_solved_inside_cap(stored_sc31_l4_neumann, beta, target)
 
     @pytest.mark.parametrize("z", [1e-8, 1e-250])
     def test_small_fugacity_round_trip(self, sc31_l4_neumann, z):

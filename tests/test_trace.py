@@ -28,7 +28,6 @@ from carpetgas.trace import (
     save_model,
     spectral_volume,
     t_at_trace,
-    trace_value,
     trace_values,
 )
 
@@ -117,7 +116,7 @@ class TestHeatTrace:
         spec = Spectrum(eigenvalues=ev)
         t = 0.1
         expect = math.fsum(math.exp(-t * x) for x in ev.tolist())
-        assert trace_value(spec, t) == pytest.approx(expect, rel=1e-15)
+        assert float(trace_values(spec.eigenvalues, t)) == pytest.approx(expect, rel=1e-15)
 
     def test_trace_values_match_fsum_on_sc31_l4(self, sc31_l4_neumann,
                                                 sc31_l4_analysis):
@@ -129,11 +128,11 @@ class TestHeatTrace:
         for t, k in zip(grid, got):
             assert k == pytest.approx(math.fsum(np.exp(-t * ev).tolist()), rel=1e-15)
 
-    def test_heat_trace_agrees_with_trace_value_exactly(self, ms31_l3_neumann):
+    def test_heat_trace_agrees_with_trace_values_exactly(self, ms31_l3_neumann):
         grid = log_grid(1e-3, 1e2, 50)
         series = heat_trace(ms31_l3_neumann, grid)
         for t, k in zip(grid, series.K):
-            assert k == trace_value(ms31_l3_neumann, t)
+            assert k == float(trace_values(ms31_l3_neumann.eigenvalues, t))
 
     def test_domain(self):
         spec = box_spectrum(unit_box(1), cutoff=1000.0)
@@ -148,7 +147,7 @@ class TestTraceInversion:
         spec = box_spectrum(unit_box(1, bc="neumann"), cutoff=4.0e4)
         for target in (2.0, 10.0, 40.0):
             t = t_at_trace(spec, target)
-            assert trace_value(spec, t) == pytest.approx(target, rel=1e-10)
+            assert float(trace_values(spec.eigenvalues, t)) == pytest.approx(target, rel=1e-10)
 
     @staticmethod
     def _bisection(spectrum, target):
@@ -158,7 +157,7 @@ class TestTraceInversion:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if trace_value(spectrum, math.exp(mid)) > target:
+            if float(trace_values(spectrum.eigenvalues, math.exp(mid))) > target:
                 lo = mid
             else:
                 hi = mid
@@ -194,7 +193,7 @@ class TestTraceInversion:
         t = t_at_trace(spec, 1.0 + 1e-9)
         assert t == self._bisection(clipped, 1.0 + 1e-9)
         assert t == pytest.approx(3.2099e4, rel=1e-4)
-        assert trace_value(clipped, t) == pytest.approx(1.0 + 1e-9, rel=1e-12)
+        assert float(trace_values(clipped.eigenvalues, t)) == pytest.approx(1.0 + 1e-9, rel=1e-12)
 
     def test_t_at_trace_domain(self):
         spec = box_spectrum(unit_box(1, bc="neumann"), cutoff=1000.0)
