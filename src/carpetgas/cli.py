@@ -698,21 +698,22 @@ STAGE_HELP = {
     "oracle": "exact Euclidean cross-checks",
 }
 
-# (stage, action, handler, options besides COMMON)
+# (stage, action, options besides COMMON); main looks the handler
+# cmd_<stage>_<action> up on this module at call time
 STAGES = (
-    ("carpet", "validate", cmd_carpet_validate, ()),
-    ("carpet", "info", cmd_carpet_info, ()),
-    ("graph", "build", cmd_graph_build, ("adjacency",)),
-    ("spectrum", "compute", cmd_spectrum_compute, ()),
-    ("trace", "analyze", cmd_trace_analyze, CHAIN),
-    ("zeta", "eval", cmd_zeta_eval, ZETA + ("s",)),
-    ("zeta", "poles", cmd_zeta_poles, ZETA),
-    ("zeta", "casimir", cmd_zeta_casimir, ZETA),
-    ("thermo", "bec", cmd_thermo_bec, CHAIN + ("beta",)),
-    ("thermo", "blackbody", cmd_thermo_blackbody, THERMO + ("length",)),
-    ("thermo", "casimir", cmd_thermo_casimir, THERMO + ("a", "b")),
-    ("thermo", "sweep", cmd_thermo_sweep, THERMO + ("quantity", "grid")),
-    ("oracle", "selftest", cmd_oracle_selftest, ()),
+    ("carpet", "validate", ()),
+    ("carpet", "info", ()),
+    ("graph", "build", ("adjacency",)),
+    ("spectrum", "compute", ()),
+    ("trace", "analyze", CHAIN),
+    ("zeta", "eval", ZETA + ("s",)),
+    ("zeta", "poles", ZETA),
+    ("zeta", "casimir", ZETA),
+    ("thermo", "bec", CHAIN + ("beta",)),
+    ("thermo", "blackbody", THERMO + ("length",)),
+    ("thermo", "casimir", THERMO + ("a", "b")),
+    ("thermo", "sweep", THERMO + ("quantity", "grid")),
+    ("oracle", "selftest", ()),
 )
 
 
@@ -729,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Carpet spectra and quantum-gas thermodynamics pipeline")
     stages = parser.add_subparsers(dest="stage", required=True)
     actions = {}
-    for stage, action, handler, extra in STAGES:
+    for stage, action, extra in STAGES:
         if stage not in actions:
             actions[stage] = stages.add_parser(
                 stage, help=STAGE_HELP[stage]).add_subparsers(dest="action",
@@ -742,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
                 f"{opt.help} (default {opt.default})"
             sub.add_argument(_flag(name), type=opt.type, choices=opt.choices,
                              help=text)
-        sub.set_defaults(func=handler, options=names)
+        sub.set_defaults(options=names)
     return parser
 
 
@@ -790,7 +791,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         _resolve_options(ns)
-        return ns.func(ns)
+        return globals()[f"cmd_{ns.stage}_{ns.action}"](ns)
     except (CarpetGasError, OSError, ValueError, LookupError) as exc:
         return _error_exit(exc)
 

@@ -63,30 +63,33 @@ class GasState:
 
 def max_fugacity(spectrum: Spectrum, state: GasState) -> float:
     """Occupations stay finite for z < e^(beta E_0 / L^2), with E_0 clipped
-    at 0 as _log_gaps clips every mode."""
+    at 0 as _energies clips every mode."""
     if spectrum.n == 0:
         raise DomainError("empty spectrum has no fugacity bound")
-    e0 = max(float(spectrum.eigenvalues[0]), 0.0)
-    return math.exp(state.beta * e0 / (state.L * state.L))
+    return math.exp(float(_energies(state, spectrum.eigenvalues[:1])[0]))
 
 
-def _log_gaps(state: GasState, eigenvalues: np.ndarray) -> np.ndarray | None:
-    """u_j = beta lambda_j / L^2 - log z, or None when some u_j <= 0.
+def _energies(state: GasState, eigenvalues: np.ndarray) -> np.ndarray:
+    """a_j = beta lambda_j / L^2, with lambda_j clipped at 0 so a kernel mode
+    rounded just below zero counts as the zero mode it is."""
+    return state.beta * np.maximum(eigenvalues, 0.0) / (state.L * state.L)
+
+
+def _log_gaps(energies: np.ndarray, z: float) -> np.ndarray | None:
+    """u_j = a_j - log z, or None when some u_j <= 0.
 
     This is the one domain rule of the spectrum path: the state lies below
     the fugacity cap iff every u_j > 0, and the occupations are
     1 / expm1(u_j).  Every spectrum-path observable and solve_fugacity apply
-    it, so a z accepted by one is accepted by all.  The eigenvalues are
-    clipped at 0, so a kernel mode rounded just below zero counts as the
-    zero mode it is.
+    it, so a z accepted by one is accepted by all.
     """
-    u = state.beta * np.maximum(eigenvalues, 0.0) / (state.L * state.L) - math.log(state.z)
+    u = energies - math.log(z)
     return u if np.all(u > 0.0) else None
 
 
 def _require_gaps(state: GasState, eigenvalues: np.ndarray,
                   mode: str = "E_0") -> np.ndarray:
-    u = _log_gaps(state, eigenvalues)
+    u = _log_gaps(_energies(state, eigenvalues), state.z)
     if u is None:
         raise DomainError(
             f"z={state.z} reaches e^(beta {mode} / L^2); occupation diverges"
@@ -226,23 +229,48 @@ def critical_densities(model: HeatTraceModel, beta: float):
     return hi * base, lo * base
 
 
+def _density_pass(energies: np.ndarray, z: float, v_s: float):
+    """(rho, z d rho / dz) of a spectrum at fugacity z, from one pass.
+
+    With n_j = 1 / expm1(a_j - log z), rho = sum n_j / v_s and
+    z d rho / dz = sum n_j (1 + n_j) / v_s.  Both are infinite at or past
+    the cap; a ground occupation above about 1e154 overflows the slope to
+    inf, which solve_fugacity reads as no Newton step.
+    """
+    u = _log_gaps(energies, z)
+    if u is None:
+        return math.inf, math.inf
+    n = _occupations(u)
+    with np.errstate(over="ignore"):
+        slope = float(np.sum(n * (1.0 + n)))
+    return float(np.sum(n)) / v_s, slope / v_s
+
+
 def solve_fugacity(target_density: float, beta: float, L: float, source,
                    v_s: float | None = None, tol: float = FUGACITY_TOL) -> float:
-    """Unique z with rho(beta, z) = target, by bisection on log z.
+    """Unique z with rho(beta, z) = target, by bracketed Newton steps on
+    log rho as a function of x = log z.
 
     The density is strictly increasing in z.  On a finite spectrum the
     bracket is (0, e^(beta E_0 / L^2)) and every positive target is
     reachable; on a model with d_s > 2 targets at or above the critical
-    density are rejected.  Points at or past the cap count as infinite
-    density, so every fugacity the bisection keeps, and the one it returns,
-    passes the domain rule of the observables.  The bisection stops once the
-    bracket on log z is narrower than ``tol`` times the smaller of 1 and its
-    distance from the cap, which holds the density at the returned z to
-    about ``tol`` of the target.  A target that no representable fugacity
-    below the cap reaches raises DomainError.  Close to the cap a float z
-    resolves the ground-mode occupation n_0 only to about n_0 * 1e-16; when
-    the density at the returned z misses the target by more than 10 ``tol``
-    a UserWarning gives the miss.
+    density are rejected.  The bracket on x first widens downwards from the
+    cap until the density falls below the target.  Each next x is then a
+    Newton step on log rho from the latest point, with rho and its slope
+    from one pass; a step that leaves the bracket, or a point without a
+    finite positive slope, takes the bracket midpoint instead, and a step
+    below half the stop width is lengthened by that half width so the
+    bracket closes across the root.  Points at or past the cap count as
+    infinite density, so every fugacity the solve keeps, and the one it
+    returns, passes the domain rule of the observables.  The solve stops
+    once the bracket on log z is narrower than ``tol`` times the smaller of
+    1 and its distance from the cap, and returns the bracket end whose
+    density is nearer the target, which holds that density to about
+    ``tol`` of the target with no further pass.  A target that no
+    representable fugacity below the cap reaches raises DomainError.  Close
+    to the cap a float z resolves the ground-mode occupation n_0 only to
+    about n_0 * 1e-16; when the density at the returned z misses the target
+    by more than 10 ``tol`` a UserWarning gives the miss.
     """
     if target_density <= 0:
         raise DomainError("target density must be positive")
@@ -250,56 +278,74 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
     if isinstance(source, Spectrum):
         if source.n == 0:
             raise DomainError("empty spectrum has no fugacity bound")
-        ground = source.eigenvalues[:1]
-        log_top = beta * max(float(ground[0]), 0.0) / (L * L)
+        if v_s is None:
+            raise DomainError("spectrum path needs the spectral volume v_s")
+        energies = _energies(GasState(beta=beta, z=1.0, L=L), source.eigenvalues)
+        log_top = float(energies[0])
 
-        def density(z):
-            state = GasState(beta=beta, z=z, L=L)
-            if _log_gaps(state, ground) is None:
-                return math.inf
-            return particle_density(state, source, v_s)
+        def density(x):
+            return _density_pass(energies, math.exp(x), v_s)
     else:
         log_top = 0.0
-        rho_c = particle_density(GasState(beta=beta, z=1.0, L=L), source) \
-            if source.d_s > 2.0 else DIVERGED
-        if rho_c is not DIVERGED and target_density >= rho_c:
-            raise DomainError(
-                f"target {target_density:g} is at or above the critical "
-                f"density {rho_c:g}; no fugacity solves it"
-            )
+        cap = GasState(beta=beta, z=1.0, L=L)
+        _check_massive_regime(cap)
+        terms, volume = _volume_terms(source), spectral_volume(source, L)
+        if source.d_s > 2.0:
+            rho_c = _polylog_tower(cap, terms, 0.0).real / volume
+            if target_density >= rho_c:
+                raise DomainError(
+                    f"target {target_density:g} is at or above the critical "
+                    f"density {rho_c:g}; no fugacity solves it"
+                )
 
-        def density(z):
+        def density(x):
+            # z d/dz Li_s(z) = Li_(s-1)(z): the slope is the tower at order -1
+            z = math.exp(x)
             if z >= 1.0:
-                return math.inf
-            return particle_density(GasState(beta=beta, z=z, L=L), source)
-
-    def rho(log_z):
-        return density(math.exp(log_z))
+                return math.inf, math.inf
+            state = GasState(beta=beta, z=z, L=L)
+            return (_polylog_tower(state, terms, 0.0).real / volume,
+                    _polylog_tower(state, terms, -1.0).real / volume)
 
     gap = 1.0
     while True:
         lo = max(log_top - gap, LOG_Z_MIN)
-        if rho(lo) < target_density:
+        rho, slope = density(lo)
+        if rho < target_density:
             break
         if lo == LOG_Z_MIN:
             raise DomainError("target density below that of every positive fugacity")
         gap *= 2.0
-    hi, reached = log_top, False
+    log_target = math.log(target_density)
+    x, rho_lo, hi, rho_hi = lo, rho, log_top, math.inf
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        nxt = 0.5 * (lo + hi)
+        if rho > 0.0 and 0.0 < slope < math.inf:
+            step = (log_target - math.log(rho)) * rho / slope
+            half = 0.5 * tol * min(1.0, log_top - x)
+            if abs(step) < half:
+                step += half if rho < target_density else -half
+            if lo < x + step < hi:
+                nxt = x + step
+        if not lo < nxt < hi:
             break
-        r = rho(mid)
-        if r < target_density:
-            lo = mid
+        x = nxt
+        rho, slope = density(x)
+        if rho < target_density:
+            lo, rho_lo = x, rho
         else:
-            hi, reached = mid, r < math.inf
-        if reached and hi - lo <= tol * min(1.0, log_top - lo):
+            hi, rho_hi = x, rho
+        if rho_hi < math.inf and hi - lo <= tol * min(1.0, log_top - lo):
             break
-    if not reached:
+    if not rho_hi < math.inf:
         raise DomainError("target density unreachable below the fugacity cap")
-    z = math.exp(0.5 * (lo + hi))
-    miss = abs(density(z) - target_density) / target_density
+    # the bracket end whose density, already computed at exactly this z, is nearer
+    if target_density - rho_lo < rho_hi - target_density:
+        x, rho = lo, rho_lo
+    else:
+        x, rho = hi, rho_hi
+    z = math.exp(x)
+    miss = abs(rho - target_density) / target_density
     if miss > 10.0 * tol + 1e-14:
         warnings.warn(
             f"density at z={z!r} misses the target {target_density:g} by "
@@ -327,7 +373,7 @@ def condensate_density(state: GasState, spectrum: Spectrum, v_s: float):
     """Ground-mode occupation per spectral volume; DIVERGED at the fugacity cap."""
     if spectrum.n == 0:
         raise DomainError("empty spectrum")
-    u = _log_gaps(state, spectrum.eigenvalues[:1])
+    u = _log_gaps(_energies(state, spectrum.eigenvalues[:1]), state.z)
     if u is None:
         return DIVERGED
     return float(_occupations(u)[0]) / v_s

@@ -28,6 +28,9 @@ FOURIER_WINDOW = (4.0, 0.25)
 # Zero-padding factor of dominant_log_period's FFT: bins 1/OVERSAMPLE of
 # the unpadded spacing 1/(n dx) apart.
 OVERSAMPLE = 16
+# exp(-x) rounds to 0.0 in float64 for every x above about 745.13; the
+# margin keeps rounding in t * lambda and EXP_UNDERFLOW / t off that edge.
+EXP_UNDERFLOW = 746.0
 
 
 @dataclass
@@ -123,17 +126,41 @@ class WeylSeries:
 
 
 def trace_values(eigenvalues: np.ndarray, t) -> np.ndarray:
-    """K at each point of ``t``, shaped like ``t``; one pairwise sum per point."""
+    """K at each point of ``t``, shaped like ``t``, for ascending eigenvalues.
+
+    Every term with t lambda > EXP_UNDERFLOW is exactly 0.0 in float64, so
+    exp runs only on the prefix of the spectrum below that edge (one
+    searchsorted for all points) and the rest of one reused scratch array
+    holds stored zeros.  Each point is still one pairwise sum over the full
+    length, so K is bit for bit sum(exp(-t * eigenvalues)).
+    """
     t = np.asarray(t, dtype=np.float64)
-    return np.array([np.sum(np.exp(-ti * eigenvalues)) for ti in t.ravel()]).reshape(t.shape)
+    ts = t.ravel().tolist()
+    ends = np.searchsorted(eigenvalues, [EXP_UNDERFLOW / ti if ti > 0.0 else math.inf
+                                         for ti in ts], side="right")
+    terms = np.empty(eigenvalues.shape)
+    zeros_from = terms.size   # terms[zeros_from:] holds stored zeros
+    out = np.empty(len(ts))
+    for i, (ti, end) in enumerate(zip(ts, ends.tolist())):
+        head = terms[:end]
+        np.multiply(eigenvalues[:end], -ti, out=head)
+        np.exp(head, out=head)
+        if end < zeros_from:
+            terms[end:zeros_from] = 0.0
+        zeros_from = end
+        out[i] = np.add.reduce(terms)
+    return out.reshape(t.shape)
 
 
 def heat_trace(spectrum: Spectrum, t_grid) -> WeylSeries:
     """K(t) = sum_j exp(-t lambda_j) on ``t_grid``, by trace_values.
 
-    numpy sums pairwise, and every term is positive, so the relative error
-    stays within a small multiple of eps * log2(n) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
+    A Spectrum holds its eigenvalues in ascending order, so each point
+    evaluates exp only below the underflow edge and sums the stored zeros
+    past it.  numpy sums pairwise over the full length, and every term is
+    nonnegative, so the relative error stays within a small multiple of
+    eps * log2(n) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 4.2).
     """
     if spectrum.n == 0:
         raise ValueError("empty spectrum")

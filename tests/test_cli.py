@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import carpetgas
-from carpetgas import eigensolve, geometry, trace
+from carpetgas import cli, eigensolve, geometry, trace
 from carpetgas.cli import CACHE_ENV, _model_key, _spectrum_key, build_parser, main
 from carpetgas.graph import build_graph
 
@@ -450,6 +450,15 @@ def test_each_subcommand_keeps_its_flags():
     assert got == {key: flags | common for key, flags in want.items()}
 
 
+def test_main_looks_the_stage_handler_up_at_call_time(monkeypatch):
+    # a tracer that rebinds cmd_* on the module then sees each stage run
+    calls = []
+    monkeypatch.setattr(cli, "cmd_carpet_info",
+                        lambda ns: calls.append((ns.stage, ns.action)) or 7)
+    assert main(["carpet", "info"]) == 7
+    assert calls == [("carpet", "info")]
+
+
 def _source_tree_env(tmp_path):
     """Environment for a child interpreter that imports this carpetgas."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(carpetgas.__file__)))
@@ -466,6 +475,22 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_fugacity_and_heat_trace_leave_scipy_optimize_and_special_out(tmp_path):
+    # either would cost warm-observables more peak RSS than its bound allows
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy as np; "
+         "from carpetgas import thermo, trace; "
+         "from carpetgas.eigensolve import Spectrum; "
+         "spec = Spectrum(eigenvalues=np.linspace(0.0, 8.0, 200)); "
+         "thermo.solve_fugacity(50.0, 1.0, 1.0, spec, v_s=1.0); "
+         "trace.heat_trace(spec, trace.log_grid(1e-2, 1e2, 50)); "
+         "print(*(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"],
+        capture_output=True, text=True, env=_source_tree_env(tmp_path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
 
 
 def test_package_import_leaves_scipy_sparse_out(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carpetgas import eigensolve, geometry
+from carpetgas import eigensolve, geometry, thermo
 from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DIVERGED, DomainError
 from carpetgas.graph import build_graph
@@ -240,6 +240,17 @@ class TestFugacity:
         z = quiet(solve_fugacity, 0.5 * rho_c, beta, 1.0, flat_model(3.0))
         assert z == pytest.approx(0.81588343459412559, rel=1e-9)
 
+    @pytest.mark.parametrize("z", [1e-6, 0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("law", ["flat-d3", "ms31-l3"])
+    def test_model_route_round_trip(self, request, law, z):
+        # the Newton slope is the volume tower at polylog order -1
+        model = flat_model(3.0) if law == "flat-d3" \
+            else request.getfixturevalue("ms31_l3_analysis")["model"]
+        beta = 0.01   # L^2 / beta = 100, inside the asymptotic window
+        target = particle_density(GasState(beta=beta, z=z), model)
+        got = solve_fugacity(target, beta, 1.0, model)
+        assert got == pytest.approx(z, rel=2 * FUGACITY_TOL, abs=0.0)
+
     def test_model_route_rejects_supercritical_target(self):
         rho_c = quiet(particle_density, GasState(beta=1.0, z=1.0), flat_model(3.0))
         with pytest.raises(DomainError):
@@ -292,6 +303,34 @@ class TestFugacity:
         target = particle_density(GasState(beta=0.3, z=z), sc31_l4_neumann, v_s=1.0)
         got = solve_fugacity(target, 0.3, 1.0, sc31_l4_neumann, v_s=1.0)
         assert got == pytest.approx(z, rel=2 * FUGACITY_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+    def test_round_trip_in_few_density_passes(self, ms31_l3_neumann, monkeypatch,
+                                              beta):
+        # Newton steps on log rho: a bisection spends about 45-60 passes here
+        passes = []
+        one_pass = thermo._density_pass
+
+        def counted(*args):
+            passes.append(args[1])
+            return one_pass(*args)
+
+        monkeypatch.setattr(thermo, "_density_pass", counted)
+        for z in (1e-200, 0.05, 0.3, 0.9, 0.999):
+            target = particle_density(GasState(beta=beta, z=z), ms31_l3_neumann, v_s=1.0)
+            passes.clear()
+            got = solve_fugacity(target, beta, 1.0, ms31_l3_neumann, v_s=1.0)
+            assert got == pytest.approx(z, rel=2 * FUGACITY_TOL, abs=0.0)
+            assert len(passes) <= 20, (z, len(passes))
+
+    def test_overflowing_slope_takes_no_newton_step(self):
+        # a ground energy of 1e-200 lets n_0 reach 1e200, whose square
+        # overflows the slope; the solve bisects there and raises no
+        # RuntimeWarning
+        spec = Spectrum(eigenvalues=np.array([1e-200, 0.5, 1.0, 2.0]))
+        with pytest.warns(UserWarning, match="misses the target"):
+            z = solve_fugacity(1e190, 1.0, 1.0, spec, v_s=1.0)
+        assert z < max_fugacity(spec, GasState(beta=1.0, z=z))
 
     def test_unresolvable_target_near_cap_warns(self, sc31_l4_neumann):
         # n_0 ~ 1e12 needs u_0 to 1e-24; a float z near 1 resolves 1e-16

@@ -10,6 +10,7 @@ from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
 from carpetgas.trace import (
+    EXP_UNDERFLOW,
     OVERSAMPLE,
     HeatTraceModel,
     ModelTerm,
@@ -127,6 +128,20 @@ class TestHeatTrace:
         assert got.shape == grid.shape
         for t, k in zip(grid, got):
             assert k == pytest.approx(math.fsum(np.exp(-t * ev).tolist()), rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["sc31_l4_neumann", "ms31_l3_neumann"])
+    def test_trace_values_past_the_underflow_edge_bit_for_bit(self, request, name):
+        # terms past t lambda = EXP_UNDERFLOW are stored zeros, not exp results
+        assert np.exp(-EXP_UNDERFLOW) == 0.0
+        ev = request.getfixturevalue(name).eigenvalues
+        grid = log_grid(1e-3, 1e6, 400)
+        cut = grid * ev[-1] > EXP_UNDERFLOW
+        assert cut.any() and not cut.all()
+        # the scratch array is reused: the edge moves both ways along a grid
+        for ts in (grid, grid[::-1], np.random.default_rng(5).permutation(grid)):
+            got = trace_values(ev, ts)
+            want = np.array([np.sum(np.exp(-t * ev)) for t in ts])
+            assert got.tobytes() == want.tobytes()
 
     def test_heat_trace_agrees_with_trace_values_exactly(self, ms31_l3_neumann):
         grid = log_grid(1e-3, 1e2, 50)
