@@ -721,10 +721,14 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The stage parser, built once per process: parse_args leaves it as it
     was, every value lands on a fresh namespace."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carpetgas",
         description="Carpet spectra and quantum-gas thermodynamics pipeline")

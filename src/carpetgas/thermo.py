@@ -257,20 +257,25 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
     density are rejected.  The bracket on x first widens downwards from the
     cap until the density falls below the target.  Each next x is then a
     Newton step on log rho from the latest point, with rho and its slope
-    from one pass; a step that leaves the bracket, or a point without a
-    finite positive slope, takes the bracket midpoint instead, and a step
-    below half the stop width is lengthened by that half width so the
-    bracket closes across the root.  Points at or past the cap count as
-    infinite density, so every fugacity the solve keeps, and the one it
-    returns, passes the domain rule of the observables.  The solve stops
-    once the bracket on log z is narrower than ``tol`` times the smaller of
-    1 and its distance from the cap, and returns the bracket end whose
-    density is nearer the target, which holds that density to about
-    ``tol`` of the target with no further pass.  A target that no
-    representable fugacity below the cap reaches raises DomainError.  Close
-    to the cap a float z resolves the ground-mode occupation n_0 only to
-    about n_0 * 1e-16; when the density at the returned z misses the target
-    by more than 10 ``tol`` a UserWarning gives the miss.
+    from one pass.  A step that reaches the upper bracket end is taken in
+    y = log(x_cap - x) instead, x_cap the log of the cap: near the cap rho
+    grows like a power of x_cap - x, so log rho is about linear in y, and a
+    step in y stays below the cap.  A step that still leaves the bracket, or a point without a
+    finite positive slope, takes the bracket midpoint instead; a step
+    shorter than the larger of half the stop width and eps (which moves z
+    by about one ulp) is lengthened to it so the bracket closes across the
+    root.  Points at or past the cap count as infinite density, so every
+    fugacity the solve keeps, and the one it returns, passes the domain
+    rule of the observables.  The solve stops once the bracket on log z is
+    narrower than ``tol`` times the smaller of 1 and its distance from the
+    cap, or once its ends are adjacent float fugacities, and returns the
+    bracket end whose density is nearer the target, which holds that
+    density to about ``tol`` of the target with no further pass.  A target
+    that no representable fugacity below the cap reaches raises
+    DomainError.  Close to the cap a float z resolves the ground-mode
+    occupation n_0 only to about n_0 * 1e-16; when the density at the
+    returned z misses the target by more than 10 ``tol`` a UserWarning
+    gives the miss.
     """
     if target_density <= 0:
         raise DomainError("target density must be positive")
@@ -322,7 +327,13 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
         nxt = 0.5 * (lo + hi)
         if rho > 0.0 and 0.0 < slope < math.inf:
             step = (log_target - math.log(rho)) * rho / slope
-            half = 0.5 * tol * min(1.0, log_top - x)
+            if x + step >= hi:
+                # near the cap rho grows like a power of log_top - x (the
+                # ground mode like 1 / (a_0 - x)), so log rho is about linear
+                # in y = log(log_top - x): the same Newton step taken in y
+                step = -(log_top - x) * math.expm1(-step / (log_top - x))
+            # no shorter than eps, which moves z by at least about one ulp
+            half = max(0.5 * tol * min(1.0, log_top - x), sys.float_info.epsilon)
             if abs(step) < half:
                 step += half if rho < target_density else -half
             if lo < x + step < hi:
@@ -335,7 +346,8 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
             lo, rho_lo = x, rho
         else:
             hi, rho_hi = x, rho
-        if rho_hi < math.inf and hi - lo <= tol * min(1.0, log_top - lo):
+        if rho_hi < math.inf and (hi - lo <= tol * min(1.0, log_top - lo) or
+                                  math.exp(hi) <= math.nextafter(math.exp(lo), math.inf)):
             break
     if not rho_hi < math.inf:
         raise DomainError("target density unreachable below the fugacity cap")

@@ -170,13 +170,35 @@ def heat_trace(spectrum: Spectrum, t_grid) -> WeylSeries:
     return WeylSeries(t=t, K=trace_values(spectrum.eigenvalues, t))
 
 
+def _moments(eigenvalues: np.ndarray, t: float) -> tuple[float, float]:
+    """(sum lambda e^(-t lambda), sum lambda^2 e^(-t lambda)) over the
+    ascending eigenvalues below the underflow edge, as trace_values cuts."""
+    head = eigenvalues[:np.searchsorted(eigenvalues, EXP_UNDERFLOW / t, side="right")]
+    weighted = head * np.exp(-t * head)
+    return float(np.add.reduce(weighted)), float(np.dot(weighted, head))
+
+
 def t_at_trace(spectrum: Spectrum, target: float) -> float:
-    """t such that K(t) = target, by bisection in x = log t on [-60, 60]
-    (at most 200 halvings).
+    """t such that K(t) = target, by bracketed Newton steps in x = log t on
+    [-60, 60] (at most 200 passes); the result is the bisection's bit for bit.
 
     K is evaluated on the eigenvalues clipped at 0, so a ground mode that
-    rounding left just below zero counts as the kernel mode it is and K is
-    non-increasing in t on every input.
+    rounding left just below zero counts as the kernel mode it is, and K as
+    computed is non-increasing in x: rounding is monotone and the pairwise
+    sum has a fixed length.  Each pass reads K by trace_values and narrows
+    the bracket as bisection does (x becomes lo where K > target, hi
+    otherwise), and the loop stops where bisection stops, when no float lies
+    strictly between lo and hi.  That adjacent-float bracket is unique, so
+    the path to it does not change exp((lo + hi) / 2).
+
+    The next x is a Newton step on log K from the latest point, with slope
+    -t M1 / K and curvature from the moments M1, M2 over the same underflow
+    prefix, aimed past the root by twice |curvature / slope| times the step
+    squared (four times the step's predicted error), and by at least one ulp
+    of x and the x-width of one ulp of K, so the bracket closes from both
+    sides.  If that point leaves (lo, hi) the unpadded step is taken; the
+    midpoint is taken when both leave, after a point with no negative
+    slope, and when the bracket did not halve over the last two passes.
     """
     n = spectrum.n
     floor = spectrum.num_zero_modes
@@ -184,14 +206,36 @@ def t_at_trace(spectrum: Spectrum, target: float) -> float:
         raise DomainError(f"target {target} outside (zero modes, n) = ({floor}, {n})")
     ev = np.maximum(spectrum.eigenvalues, 0.0)
     lo, hi = -60.0, 60.0
+    aim = past = math.nan
+    width = before = hi - lo   # the bracket width one and two passes back
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
             break
-        if float(trace_values(ev, math.exp(mid))) > target:
-            lo = mid
+        if hi - lo <= 0.5 * before:
+            if lo < past < hi:
+                x = past
+            elif lo < aim < hi:
+                x = aim
+        before, width = width, hi - lo
+        t = math.exp(x)
+        k = float(trace_values(ev, t))
+        if k > target:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        aim = past = math.nan
+        if k > 0.0:
+            m1, m2 = _moments(ev, t)
+            slope = -t * m1 / k
+            ratio = target / k   # 0.0 only for a target below k * 2^-1074
+            if slope < 0.0 and ratio > 0.0:
+                step = math.log(ratio) / slope
+                aim = x + step
+                curve = slope + t * t * (m2 / k - (m1 / k) * (m1 / k))
+                pad = max(2.0 * abs(curve / slope) * step * step, math.ulp(aim),
+                          math.ulp(k) / (k * -slope))
+                past = aim + pad if k > target else aim - pad
     return math.exp(0.5 * (lo + hi))
 
 

@@ -1,9 +1,13 @@
 """Every name an import binds in a package module is used in that module,
 and so is every private name the module defines at top level; every name a
-module lists in ``__all__`` is bound at its top level."""
+module lists in ``__all__`` is bound at its top level; every public function
+a module defines is a plain Python function."""
 
 import ast
+import functools
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -106,3 +110,35 @@ def test_export_scanner_flags_unbound_names():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def unplain_functions(module) -> list[str]:
+    """Public callables defined in ``module`` that are not plain functions.
+
+    A tracer that rebinds module attributes wraps only plain functions, so a
+    public ``functools.cache`` wrapper drops out of the trace; the cache goes
+    on a private core behind a plain public function."""
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_") and callable(value)
+                  and not isinstance(value, type)
+                  and getattr(value, "__module__", None) == module.__name__
+                  and not isinstance(value, types.FunctionType))
+
+
+def test_plain_function_scanner_flags_cached_functions():
+    mod = types.ModuleType("fake")
+
+    def plain():
+        return 1
+
+    plain.__module__ = "fake"
+    cached = functools.cache(plain)
+    mod.plain, mod.cached, mod._core = plain, cached, cached
+    mod.Kind, mod.imported = type("Kind", (), {"__module__": "fake"}), functools.reduce
+    assert unplain_functions(mod) == ["cached"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_public_functions_are_plain(path):
+    name = "carpetgas" if path.stem == "__init__" else f"carpetgas.{path.stem}"
+    assert unplain_functions(importlib.import_module(name)) == []

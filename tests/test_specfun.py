@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from carpetgas import specfun
 from carpetgas.errors import DomainError, PoleError
 from carpetgas.specfun import (
     _B2K,
@@ -15,6 +16,7 @@ from carpetgas.specfun import (
     polylog_complex,
     riemann_zeta,
 )
+from carpetgas.thermo import GasState, particle_density
 
 mp.mp.dps = 30
 
@@ -232,6 +234,71 @@ class TestIncompleteGamma:
         assert abs(complex(mp.gammainc(2.5, 0)) - g) <= 1e-14 * abs(g)
         big = complex(mp.gammainc(2.5, 0, 60.0))
         assert abs(big - g) <= 1e-13 * abs(g)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestMemo:
+    # Re s on a quarter grid from -9 to 9 holds the trivial zeros, the
+    # gamma poles and the half-integers; Im s = -0.0 must not pick up the
+    # value cached for +0.0 unless the two are the same bits
+    GRID = [complex(re / 4.0, im) for re in range(-36, 37)
+            for im in (0.0, -0.0, 3.7, -3.7, 25.0, -25.0)]
+
+    @pytest.mark.parametrize("public, core", [("riemann_zeta", "_riemann_zeta"),
+                                              ("gamma", "_gamma")], ids=["zeta", "gamma"])
+    def test_values_are_the_uncached_cores_bit_for_bit(self, public, core):
+        public, core = getattr(specfun, public), getattr(specfun, core)
+        checked = 0
+        for s in self.GRID:
+            try:
+                want = _bits(core.__wrapped__(s))
+            except PoleError:
+                continue
+            assert _bits(public(s)) == want, s
+            assert _bits(public(s)) == want, s   # the cached value
+            checked += 1
+        assert checked >= len(self.GRID) - 20   # the poles at 1 and at 0, ..., -9
+
+    def test_memo_bound_is_the_fixed_constant(self):
+        assert specfun._riemann_zeta.cache_info().maxsize == specfun.MEMO_SIZE
+        assert specfun._gamma.cache_info().maxsize == specfun.MEMO_SIZE
+        assert specfun.MEMO_SIZE >= 2048
+
+    def test_poles_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                riemann_zeta(1.0)
+            for z in (0.0, -1.0):
+                with pytest.raises(PoleError):
+                    gamma(z)
+
+    def test_model_density_sweep_evaluates_each_argument_once(self, ms31_l3_analysis,
+                                                              monkeypatch):
+        # the tower orders e_p do not move with z, so the Jonquiere terms
+        # zeta(e_p - k) repeat along a z sweep
+        model = ms31_l3_analysis["model"]
+        zeta_calls, sums = [], []
+        public, summation = specfun.riemann_zeta, specfun._zeta_euler_maclaurin
+
+        def counted_zeta(s):
+            zeta_calls.append(s)
+            return public(s)
+
+        def counted_sum(s):
+            sums.append(s)
+            return summation(s)
+
+        monkeypatch.setattr(specfun, "riemann_zeta", counted_zeta)
+        monkeypatch.setattr(specfun, "_zeta_euler_maclaurin", counted_sum)
+        specfun._riemann_zeta.cache_clear()
+        for z in np.linspace(0.05, 0.95, 19):
+            particle_density(GasState(beta=0.01, z=float(z)), model)
+        specfun._riemann_zeta.cache_clear()
+        assert len(sums) == len(set(sums)) > 0
+        assert len(zeta_calls) > 2 * len(sums)
 
 
 class TestVectorizedUse:

@@ -323,6 +323,41 @@ class TestFugacity:
             assert got == pytest.approx(z, rel=2 * FUGACITY_TOL, abs=0.0)
             assert len(passes) <= 20, (z, len(passes))
 
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The fugacity of each density pass a solve makes."""
+        seen = []
+        one_pass = thermo._density_pass
+
+        def counted(*args):
+            seen.append(args[1])
+            return one_pass(*args)
+
+        monkeypatch.setattr(thermo, "_density_pass", counted)
+        return seen
+
+    @staticmethod
+    def round_trip(spectrum, beta, z, passes):
+        target = particle_density(GasState(beta=beta, z=z), spectrum, v_s=1.0)
+        passes.clear()
+        got = solve_fugacity(target, beta, 1.0, spectrum, v_s=1.0)
+        assert got == pytest.approx(z, rel=2 * FUGACITY_TOL, abs=0.0)
+        return len(passes)
+
+    def test_near_cap_steps_in_the_log_distance_to_the_cap(self, ms31_l3_neumann, passes):
+        # the ground mode makes log rho ~ -log(-log z): a Newton step on log rho
+        # from below overshoots the cap, and bisecting towards it spent 9 of 18
+        # passes here
+        assert self.round_trip(ms31_l3_neumann, 1.0, 0.999, passes) <= 12
+
+    @pytest.mark.parametrize("z", [1.0 - 1e-6, 1.0 - 1e-9])
+    def test_stops_at_adjacent_float_fugacities(self, ms31_l3_neumann, sc31_l4_neumann,
+                                                passes, z):
+        # tol times the cap distance is below one ulp of z here, so only the
+        # adjacent-float stop ends the solve short of the 200-pass cap
+        for spectrum in (ms31_l3_neumann, sc31_l4_neumann):
+            assert self.round_trip(spectrum, 1.0, z, passes) <= 25
+
     def test_overflowing_slope_takes_no_newton_step(self):
         # a ground energy of 1e-200 lets n_0 reach 1e200, whose square
         # overflows the slope; the solve bisects there and raises no

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from carpetgas import trace as trace_module
 from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
 from carpetgas.trace import (
     EXP_UNDERFLOW,
+    FIT_WINDOW,
+    FOURIER_WINDOW,
     OVERSAMPLE,
     HeatTraceModel,
     ModelTerm,
@@ -188,6 +191,31 @@ class TestTraceInversion:
         targets += list(floor + (n - floor) * np.random.default_rng(3).random(8))
         for target in targets:
             assert t_at_trace(spec, target) == self._bisection(spec, target), target
+
+    @pytest.mark.parametrize("name", ["sc31_l3_dirichlet", "sc31_l4_neumann",
+                                      "ms31_l2_neumann", "ms31_l3_neumann"])
+    def test_default_window_targets_in_few_trace_passes(self, request, monkeypatch, name):
+        # Newton steps on log K: the bisection spends 57-62 passes on each
+        spec = request.getfixturevalue(name)
+        passes = []
+
+        def counted(eigenvalues, t):
+            passes.append(t)
+            return trace_values(eigenvalues, t)
+
+        monkeypatch.setattr(trace_module, "trace_values", counted)
+        for target in (FIT_WINDOW[1] * spec.n, FIT_WINDOW[0],
+                       FOURIER_WINDOW[1] * spec.n, FOURIER_WINDOW[0]):
+            passes.clear()
+            assert t_at_trace(spec, target) == self._bisection(spec, target), target
+            assert 0 < len(passes) <= 20, (target, len(passes))
+
+    def test_t_at_trace_for_a_subnormal_target(self, sc31_l3_dirichlet):
+        # no zero modes: K falls through the subnormals to 0.0, and target / K
+        # can round to 0.0, where no Newton step is taken
+        for target in (5e-324, 1e-320, 1e-300):
+            want = self._bisection(sc31_l3_dirichlet, target)
+            assert t_at_trace(sc31_l3_dirichlet, target) == want, target
 
     def test_t_at_trace_with_a_negative_eigenvalue(self):
         # rounding can leave a ground mode just below zero; it counts as the
