@@ -64,6 +64,10 @@ class Spectrum:
     solve, "sliced" for a slice_spectrum window (oracle box spectra say
     "oracle-box").  ``blocks`` holds the (order, multiplicity) of every block
     solved; a carpet whose mask fails H1 is one block (n, 1).
+
+    ``eigenvalues`` stay as computed or loaded; consumers read ``modes``, in
+    which each eigenvalue at or below ZERO_TOL, a kernel mode whatever the
+    sign of its rounding, is exactly 0.
     """
 
     eigenvalues: np.ndarray
@@ -87,6 +91,10 @@ class Spectrum:
         return int(self.eigenvalues.size)
 
     @property
+    def modes(self) -> np.ndarray:
+        return np.where(self.eigenvalues > ZERO_TOL, self.eigenvalues, 0.0)
+
+    @property
     def lambda_max(self) -> float:
         if self.n == 0:
             raise ValueError("empty spectrum")
@@ -94,12 +102,11 @@ class Spectrum:
 
     @property
     def lambda1(self) -> float:
-        """First eigenvalue above the zero threshold."""
-        ev = self.eigenvalues
-        above = ev[ev > ZERO_TOL]
-        if above.size == 0:
+        """First eigenvalue above the zero threshold, the one after the kernel."""
+        k = self.num_zero_modes
+        if k == self.n:
             raise ValueError("no nonzero eigenvalue in spectrum")
-        return float(above[0])
+        return float(self.eigenvalues[k])
 
     @property
     def num_zero_modes(self) -> int:

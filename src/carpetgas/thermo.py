@@ -62,17 +62,15 @@ class GasState:
 
 
 def max_fugacity(spectrum: Spectrum, state: GasState) -> float:
-    """Occupations stay finite for z < e^(beta E_0 / L^2), with E_0 clipped
-    at 0 as _energies clips every mode."""
+    """Occupations stay finite for z < e^(beta E_0 / L^2), E_0 the ground mode."""
     if spectrum.n == 0:
         raise DomainError("empty spectrum has no fugacity bound")
-    return math.exp(float(_energies(state, spectrum.eigenvalues[:1])[0]))
+    return math.exp(float(_energies(state, spectrum.modes[:1])[0]))
 
 
 def _energies(state: GasState, eigenvalues: np.ndarray) -> np.ndarray:
-    """a_j = beta lambda_j / L^2, with lambda_j clipped at 0 so a kernel mode
-    rounded just below zero counts as the zero mode it is."""
-    return state.beta * np.maximum(eigenvalues, 0.0) / (state.L * state.L)
+    """a_j = beta lambda_j / L^2 of a spectrum's modes lambda_j."""
+    return state.beta * eigenvalues / (state.L * state.L)
 
 
 def _log_gaps(energies: np.ndarray, z: float) -> np.ndarray | None:
@@ -156,7 +154,7 @@ def massive_log_partition(state: GasState, source) -> float:
     marker is returned, not an exception).
     """
     if isinstance(source, Spectrum):
-        u = _require_gaps(state, source.eigenvalues)
+        u = _require_gaps(state, source.modes)
         return -float(np.sum(_log1mexp(u)))
     model = source
     _check_massive_regime(state)
@@ -179,7 +177,7 @@ def particle_density(state: GasState, source, v_s: float | None = None):
     if isinstance(source, Spectrum):
         if v_s is None:
             raise DomainError("spectrum path needs the spectral volume v_s")
-        return float(np.sum(_occupations(_require_gaps(state, source.eigenvalues)))) / v_s
+        return float(np.sum(_occupations(_require_gaps(state, source.modes)))) / v_s
     model = source
     if state.z == 1.0 and model.d_s <= 2.0:
         return DIVERGED
@@ -247,7 +245,7 @@ def _density_pass(energies: np.ndarray, z: float, v_s: float):
 
 
 def solve_fugacity(target_density: float, beta: float, L: float, source,
-                   v_s: float | None = None, tol: float = FUGACITY_TOL) -> float:
+                   v_s: float | None = None) -> float:
     """Unique z with rho(beta, z) = target, by bracketed Newton steps on
     log rho as a function of x = log z.
 
@@ -260,22 +258,22 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
     from one pass.  A step that reaches the upper bracket end is taken in
     y = log(x_cap - x) instead, x_cap the log of the cap: near the cap rho
     grows like a power of x_cap - x, so log rho is about linear in y, and a
-    step in y stays below the cap.  A step that still leaves the bracket, or a point without a
-    finite positive slope, takes the bracket midpoint instead; a step
-    shorter than the larger of half the stop width and eps (which moves z
-    by about one ulp) is lengthened to it so the bracket closes across the
-    root.  Points at or past the cap count as infinite density, so every
-    fugacity the solve keeps, and the one it returns, passes the domain
-    rule of the observables.  The solve stops once the bracket on log z is
-    narrower than ``tol`` times the smaller of 1 and its distance from the
-    cap, or once its ends are adjacent float fugacities, and returns the
-    bracket end whose density is nearer the target, which holds that
-    density to about ``tol`` of the target with no further pass.  A target
-    that no representable fugacity below the cap reaches raises
-    DomainError.  Close to the cap a float z resolves the ground-mode
-    occupation n_0 only to about n_0 * 1e-16; when the density at the
-    returned z misses the target by more than 10 ``tol`` a UserWarning
-    gives the miss.
+    step in y stays below the cap.  A step that still leaves the bracket, or
+    a point without a finite positive slope, takes the bracket midpoint
+    instead; a step shorter than the larger of half the stop width and eps
+    (which moves z by about one ulp) is lengthened to it so the bracket
+    closes across the root.  Points at or past the cap count as infinite
+    density, so every fugacity the solve keeps, and the one it returns,
+    passes the domain rule of the observables.  The solve stops once the
+    bracket on log z is narrower than FUGACITY_TOL times the smaller of 1
+    and its distance from the cap, or once its ends are adjacent float
+    fugacities, and returns the bracket end whose density is nearer the
+    target, which holds that density to about FUGACITY_TOL of the target
+    with no further pass.  A target that no representable fugacity below the
+    cap reaches raises DomainError.  Close to the cap a float z resolves the
+    ground-mode occupation n_0 only to about n_0 * 1e-16; when the density
+    at the returned z misses the target by more than 10 FUGACITY_TOL a
+    UserWarning gives the miss.
     """
     if target_density <= 0:
         raise DomainError("target density must be positive")
@@ -285,7 +283,7 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
             raise DomainError("empty spectrum has no fugacity bound")
         if v_s is None:
             raise DomainError("spectrum path needs the spectral volume v_s")
-        energies = _energies(GasState(beta=beta, z=1.0, L=L), source.eigenvalues)
+        energies = _energies(GasState(beta=beta, z=1.0, L=L), source.modes)
         log_top = float(energies[0])
 
         def density(x):
@@ -333,7 +331,7 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
                 # in y = log(log_top - x): the same Newton step taken in y
                 step = -(log_top - x) * math.expm1(-step / (log_top - x))
             # no shorter than eps, which moves z by at least about one ulp
-            half = max(0.5 * tol * min(1.0, log_top - x), sys.float_info.epsilon)
+            half = max(0.5 * FUGACITY_TOL * min(1.0, log_top - x), sys.float_info.epsilon)
             if abs(step) < half:
                 step += half if rho < target_density else -half
             if lo < x + step < hi:
@@ -346,7 +344,7 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
             lo, rho_lo = x, rho
         else:
             hi, rho_hi = x, rho
-        if rho_hi < math.inf and (hi - lo <= tol * min(1.0, log_top - lo) or
+        if rho_hi < math.inf and (hi - lo <= FUGACITY_TOL * min(1.0, log_top - lo) or
                                   math.exp(hi) <= math.nextafter(math.exp(lo), math.inf)):
             break
     if not rho_hi < math.inf:
@@ -358,7 +356,7 @@ def solve_fugacity(target_density: float, beta: float, L: float, source,
         x, rho = hi, rho_hi
     z = math.exp(x)
     miss = abs(rho - target_density) / target_density
-    if miss > 10.0 * tol + 1e-14:
+    if miss > 10.0 * FUGACITY_TOL + 1e-14:
         warnings.warn(
             f"density at z={z!r} misses the target {target_density:g} by "
             f"{miss:.2g} relative; no float fugacity this close to the cap "
@@ -377,7 +375,7 @@ def tail_density(state: GasState, spectrum: Spectrum, v_s: float, m: int):
     """
     if not 0 <= m < spectrum.n:
         raise DomainError(f"mode index m={m} outside the spectrum")
-    u = _require_gaps(state, spectrum.eigenvalues[m + 1:], f"E_{m + 1}")
+    u = _require_gaps(state, spectrum.modes[m + 1:], f"E_{m + 1}")
     return float(np.sum(_occupations(u))) / v_s
 
 
@@ -385,7 +383,7 @@ def condensate_density(state: GasState, spectrum: Spectrum, v_s: float):
     """Ground-mode occupation per spectral volume; DIVERGED at the fugacity cap."""
     if spectrum.n == 0:
         raise DomainError("empty spectrum")
-    u = _log_gaps(_energies(state, spectrum.eigenvalues[:1]), state.z)
+    u = _log_gaps(_energies(state, spectrum.modes[:1]), state.z)
     if u is None:
         return DIVERGED
     return float(_occupations(u)[0]) / v_s
@@ -488,13 +486,13 @@ def blackbody(model: HeatTraceModel, beta: float, L: float = 1.0):
 
 def blackbody_spectrum(spectrum: Spectrum, beta: float, L: float,
                        v_s: float) -> float:
-    """Exact photon energy density: (1/V_s) sum_j omega_j / (e^(beta omega_j) - 1)."""
+    """Exact photon energy density: (1/V_s) sum_j omega_j / (e^(beta omega_j) - 1)
+    over the modes, omega_j = sqrt(lambda_j) / L; zero modes carry no energy."""
     if beta <= 0 or L <= 0 or v_s <= 0:
         raise DomainError("beta, L, v_s must be positive")
-    omega = np.sqrt(np.maximum(spectrum.eigenvalues, 0.0)) / L
-    pos = omega > 0
-    x = beta * omega[pos]
-    return float(np.sum(omega[pos] / np.expm1(x))) / v_s
+    modes = spectrum.modes
+    omega = np.sqrt(modes[modes > 0.0]) / L
+    return float(np.sum(omega / np.expm1(beta * omega))) / v_s
 
 
 def waveguide_trace(carpet_model: HeatTraceModel, a: float, b: float,

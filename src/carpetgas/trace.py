@@ -25,6 +25,7 @@ FIT_WINDOW = (10.0, 0.1)
 # Fourier window is wider; projection tolerates the window edges better
 # than a slope fit and needs >= 2 whole periods.
 FOURIER_WINDOW = (4.0, 0.25)
+ANALYSIS_POINTS = 900  # t points of analyze's heat-trace grid
 # Zero-padding factor of dominant_log_period's FFT: bins 1/OVERSAMPLE of
 # the unpadded spacing 1/(n dx) apart.
 OVERSAMPLE = 16
@@ -108,7 +109,6 @@ class WeylSeries:
     t: np.ndarray
     K: np.ndarray
     d_s: float | None = None
-    window: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)
@@ -155,7 +155,7 @@ def trace_values(eigenvalues: np.ndarray, t) -> np.ndarray:
 def heat_trace(spectrum: Spectrum, t_grid) -> WeylSeries:
     """K(t) = sum_j exp(-t lambda_j) on ``t_grid``, by trace_values.
 
-    A Spectrum holds its eigenvalues in ascending order, so each point
+    K sums over the spectrum's modes, in ascending order, so each point
     evaluates exp only below the underflow edge and sums the stored zeros
     past it.  numpy sums pairwise over the full length, and every term is
     nonnegative, so the relative error stays within a small multiple of
@@ -167,7 +167,7 @@ def heat_trace(spectrum: Spectrum, t_grid) -> WeylSeries:
     t = np.asarray(t_grid, dtype=np.float64)
     if np.any(t <= 0):
         raise DomainError("t grid must be positive")
-    return WeylSeries(t=t, K=trace_values(spectrum.eigenvalues, t))
+    return WeylSeries(t=t, K=trace_values(spectrum.modes, t))
 
 
 def _moments(eigenvalues: np.ndarray, t: float) -> tuple[float, float]:
@@ -182,8 +182,7 @@ def t_at_trace(spectrum: Spectrum, target: float) -> float:
     """t such that K(t) = target, by bracketed Newton steps in x = log t on
     [-60, 60] (at most 200 passes); the result is the bisection's bit for bit.
 
-    K is evaluated on the eigenvalues clipped at 0, so a ground mode that
-    rounding left just below zero counts as the kernel mode it is, and K as
+    K is evaluated on the spectrum's modes, which are nonnegative, so K as
     computed is non-increasing in x: rounding is monotone and the pairwise
     sum has a fixed length.  Each pass reads K by trace_values and narrows
     the bracket as bisection does (x becomes lo where K > target, hi
@@ -204,7 +203,7 @@ def t_at_trace(spectrum: Spectrum, target: float) -> float:
     floor = spectrum.num_zero_modes
     if not floor < target < n:
         raise DomainError(f"target {target} outside (zero modes, n) = ({floor}, {n})")
-    ev = np.maximum(spectrum.eigenvalues, 0.0)
+    ev = spectrum.modes
     lo, hi = -60.0, 60.0
     aim = past = math.nan
     width = before = hi - lo   # the bracket width one and two passes back
@@ -346,7 +345,7 @@ def counting_ratio(spectrum: Spectrum, d_s: float, points: int = 4096,
     Returns (x, W).
     """
     lam1 = spectrum.lambda1
-    s_vals = spectrum.eigenvalues / lam1
+    s_vals = spectrum.modes / lam1
     top = s_max if s_max is not None else float(s_vals[-1])
     if not 0 < s_min < top:
         raise DomainError(f"need 0 < s_min < s_max, got [{s_min}, {top}]")
@@ -437,16 +436,14 @@ def g0_extrema(model: HeatTraceModel, samples: int = 10000) -> tuple[float, floa
     return refine(int(np.argmin(re))), refine(int(np.argmax(re)))
 
 
-def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT,
-            points: int = 900) -> dict:
+def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT) -> dict:
     """Windows -> trace -> d_s fit -> period -> Fourier model, bundled."""
     windows = default_windows(spectrum)
     t_lo = min(windows["fit"][0], windows["fourier"][0])
     t_hi = max(windows["fit"][1], windows["fourier"][1])
-    series = heat_trace(spectrum, log_grid(t_lo, t_hi, points))
+    series = heat_trace(spectrum, log_grid(t_lo, t_hi, ANALYSIS_POINTS))
     d_s, stderr = fit_spectral_dimension(series, windows["fit"])
     series.d_s = d_s
-    series.window = windows["fit"]
     if spec is not None:
         period = estimate_period(spec, d_s)
         d_w = 2.0 * spec.d_h / d_s

@@ -17,6 +17,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ QUAD_TOL = 1e-10
 # A spectrum tail is complete enough at t1 once (lambda_max + gamma) * t1
 # reaches this: the top mode then weighs e^-35, about 6e-16, there.
 TAIL_DECAY = 35.0
-_EXP_FLOOR = 745.0  # exp(-x) underflows past this
+PANEL_DEPTH = 24  # most halvings of one quadrature panel
 
 
 class PoleProximityWarning(UserWarning):
@@ -74,7 +75,8 @@ def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0,
     """
     s = complex(s)
     gamma = complex(gamma)
-    lam = spectrum.eigenvalues.astype(np.complex128) + gamma
+    modes = spectrum.modes
+    lam = modes.astype(np.complex128) + gamma
     tiny = np.abs(lam) < 1e-12
     if np.any(tiny):
         warnings.warn(
@@ -88,13 +90,13 @@ def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0,
     value = complex(math.fsum(powers.real), math.fsum(powers.imag))
     if not tail_correct or spectrum.n == 0:
         return value
-    ds = _estimate_ds(spectrum.eigenvalues) if d_s is None else float(d_s)
+    ds = _estimate_ds(modes) if d_s is None else float(d_s)
     if s.real <= ds / 2.0:
         raise DomainError(
             f"Re(s)={s.real} <= d_s/2={ds / 2.0}; direct sum does not converge"
         )
     n = spectrum.n
-    lam_top = complex(spectrum.eigenvalues[-1])
+    lam_top = complex(modes[-1])
     # integral continuation of lambda(j) = lam_top (j/n)^(2/ds) past j = n,
     # first order in gamma/lam_top
     a = 2.0 * s / ds
@@ -117,9 +119,8 @@ class _CachedPanels:
     extension that is never evaluated costs no trace evaluations.
     """
 
-    def __init__(self, f, panels: list[tuple[float, float]], max_depth: int = 24):
+    def __init__(self, f, panels: list[tuple[float, float]]):
         self.f = f
-        self.max_depth = max_depth
         self.panels = [(lo, hi, 0) for lo, hi in panels]
 
     def _make(self, lo, hi, depth):
@@ -145,7 +146,7 @@ class _CachedPanels:
             e15 = half * np.sum(_GL15[1] * f15 * w15)
             e31 = half * np.sum(_GL31[1] * f31 * w31)
             diff = abs(e31 - e15)
-            if diff > tol and depth < self.max_depth:
+            if diff > tol and depth < PANEL_DEPTH:
                 mid = 0.5 * (lo + hi)
                 stack.append((lo, mid, depth + 1))
                 stack.append((mid, hi, depth + 1))
@@ -297,8 +298,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
                 stacklevel=2,
             )
 
-        def trace_fn(t):
-            return trace_values(tail.eigenvalues, t)
+        trace_fn = partial(trace_values, tail.modes)
     elif callable(tail):
         trace_fn = np.vectorize(tail, otypes=[float])  # one t per call
 
@@ -314,7 +314,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     # confirm the weighted trace decays, scanning outward from t1; a constant
     # Neumann mode with gamma = 0 never drops and is rejected
     probes = t1 * 2.0 ** np.arange(1, 40)
-    weighted = np.abs(trace_fn(probes)) * np.exp(-np.minimum(gamma.real * probes, _EXP_FLOOR))
+    weighted = np.abs(trace_fn(probes)) * np.exp(-gamma.real * probes)
     if not np.any(weighted < 1e-12):
         raise DomainError(
             "trace does not decay on the tail (constant mode?); "
@@ -348,15 +348,13 @@ def casimir_energy(source) -> float:
     """E_Cas = (1/2) zeta(-1/2) at gamma = 0.
 
     For a finite Spectrum the zeta function is entire and the value is the
-    plain half-sum of mode frequencies (0 for an empty spectrum), with
-    eigenvalues clipped at 0 so a kernel mode rounded just below zero
-    counts as the zero mode it is; for an extension it is the continued
-    value, whose imaginary part must vanish.
+    plain half-sum of mode frequencies (0 for an empty spectrum); for an
+    extension it is the continued value, whose imaginary part must vanish.
     """
     if isinstance(source, Spectrum):
         if source.n == 0:
             return 0.0
-        return 0.5 * float(np.sum(np.sqrt(np.maximum(source.eigenvalues, 0.0))))
+        return 0.5 * float(np.sum(np.sqrt(source.modes)))
     ext = source
     if ext.gamma != 0:
         raise DomainError("Casimir energy is defined for the gamma = 0 extension")

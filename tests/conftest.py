@@ -3,10 +3,10 @@
 Each spectrum fixture is computed once per session by compute_spectrum, so
 the tests always run on what the current solver gives.  The largest (SC(3,1)
 level 4, MS(3,1) level 3) take about half a second each by symmetry blocks
-on a 2-core box.  The one stored spectrum, the benchmark's SC(3,1) level-4
-reference, is read from perfbench/data because its ground mode was rounded
-to -1.96e-15, which compute_spectrum (kernel snapped to exact zeros) never
-returns.
+on a 2-core box.  Two stored spectra, the benchmark's SC(3,1) level-4 and
+MS(3,1) level-3 references, are read from perfbench/data because their
+ground modes were rounded to -1.96e-15 and +1.78e-14, which compute_spectrum
+(kernel snapped to exact zeros) never returns.
 """
 
 from __future__ import annotations
@@ -65,11 +65,19 @@ def ms31_l3_neumann():
     return graph_spectrum("MS(3,1)", 3, "neumann")
 
 
+def stored_spectrum(name: str):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return eigensolve.load_spectrum(os.path.join(root, "perfbench", "data", name))
+
+
 @pytest.fixture(scope="session")
 def stored_sc31_l4_neumann():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return eigensolve.load_spectrum(
-        os.path.join(root, "perfbench", "data", "sc31-l4-neumann.json"))
+    return stored_spectrum("sc31-l4-neumann.json")
+
+
+@pytest.fixture(scope="session")
+def stored_ms31_l3_neumann():
+    return stored_spectrum("ms31-l3-neumann.json")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from carpetgas import eigensolve
+from carpetgas import eigensolve, thermo, trace, zeta
 from carpetgas.eigensolve import (
     Spectrum,
     _rcm_lower_band,
@@ -71,6 +71,59 @@ class TestSpectrum:
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError):
             Spectrum(eigenvalues=np.zeros((2, 2)))
+
+    def test_modes_read_the_kernel_as_exact_zeros(self):
+        ev = np.array([-3e-15, 0.0, 1.8e-14, 1e-8, 2e-8, 0.5])
+        s = Spectrum(eigenvalues=ev)
+        assert s.modes.tolist() == [0.0, 0.0, 0.0, 0.0, 2e-8, 0.5]
+        assert np.array_equal(s.eigenvalues, ev)   # kept as given
+        assert s.num_zero_modes == np.count_nonzero(s.modes == 0.0)
+
+
+def kernel_observables(spectrum, spec):
+    """Every value a spectrum's kernel can reach, across trace, thermo and zeta."""
+    n = spectrum.n
+    targets = (trace.FIT_WINDOW[1] * n, trace.FIT_WINDOW[0],
+               trace.FOURIER_WINDOW[1] * n, trace.FOURIER_WINDOW[0])
+    analysis = trace.analyze(spectrum, spec=spec)
+    t1 = min(1.0, 35.0 / (spectrum.lambda_max + 1.0))
+    ext = zeta.build_extension(analysis["model"], 1.0, spectrum, t1=t1)
+    densities = [thermo.particle_density(thermo.GasState(beta=1.0, z=z), spectrum, v_s=1.0)
+                 for z in (1e-3, 0.5, 0.99)]
+    return {
+        "windows": [trace.t_at_trace(spectrum, target) for target in targets],
+        "K": trace.heat_trace(spectrum, trace.log_grid(1e-3, 1e3, 100)).K.tolist(),
+        "d_s": analysis["d_s"],
+        "terms": [(t.k, t.p, t.exponent, t.coefficient) for t in analysis["model"].terms],
+        "cap": thermo.max_fugacity(spectrum, thermo.GasState(beta=1.0, z=0.5, L=1.0)),
+        "densities": densities,
+        "fugacities": [thermo.solve_fugacity(rho, 1.0, 1.0, spectrum, v_s=1.0)
+                       for rho in densities],
+        "blackbody": [thermo.blackbody_spectrum(spectrum, beta, 1.0, 1.0)
+                      for beta in (0.5, 1.0)],
+        "casimir": zeta.casimir_energy(spectrum),
+        "zeta": [zeta.zeta_extended(ext, s) for s in (-1.3, 0.4)],
+    }
+
+
+class TestKernelRule:
+    """A kernel mode rounded to either side of zero reads as exactly 0 in
+    every consumer, so no observable depends on the sign of that noise."""
+
+    @pytest.fixture(scope="class")
+    def exact(self, ms31_l3_neumann, ms31_spec):
+        assert ms31_l3_neumann.eigenvalues[0] == 0.0
+        return kernel_observables(ms31_l3_neumann, ms31_spec)
+
+    @pytest.mark.parametrize("ground", [0.0, -2e-15, 1.8e-14])
+    def test_observables_ignore_kernel_noise(self, ms31_l3_neumann, ms31_spec, exact,
+                                             ground):
+        ev = ms31_l3_neumann.eigenvalues.copy()
+        ev[0] = ground
+        got = kernel_observables(Spectrum(eigenvalues=ev), ms31_spec)
+        assert got["cap"] == 1.0
+        for key, want in exact.items():
+            assert got[key] == want, key
 
 
 class TestDense:

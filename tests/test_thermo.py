@@ -297,6 +297,15 @@ class TestFugacity:
         target = particle_density(GasState(beta=beta, z=0.5), stored_sc31_l4_neumann, v_s=1.0)
         self.assert_solved_inside_cap(stored_sc31_l4_neumann, beta, target)
 
+    def test_stored_ms31_l3_spectrum(self, stored_ms31_l3_neumann):
+        # the stored zero mode is rounding noise above zero (+1.78e-14); read
+        # as the kernel mode it caps the fugacity at exactly 1
+        assert stored_ms31_l3_neumann.eigenvalues[0] > 0.0
+        for beta in (0.3, 1.0):
+            assert max_fugacity(stored_ms31_l3_neumann, GasState(beta=beta, z=0.5)) == 1.0
+        target = particle_density(GasState(beta=1.0, z=0.5), stored_ms31_l3_neumann, v_s=1.0)
+        self.assert_solved_inside_cap(stored_ms31_l3_neumann, 1.0, target)
+
     @pytest.mark.parametrize("z", [1e-8, 1e-250])
     def test_small_fugacity_round_trip(self, sc31_l4_neumann, z):
         # far below the cap the stop is relative to z, not to the cap distance
@@ -361,11 +370,12 @@ class TestFugacity:
     def test_overflowing_slope_takes_no_newton_step(self):
         # a ground energy of 1e-200 lets n_0 reach 1e200, whose square
         # overflows the slope; the solve bisects there and raises no
-        # RuntimeWarning
-        spec = Spectrum(eigenvalues=np.array([1e-200, 0.5, 1.0, 2.0]))
+        # RuntimeWarning.  The scale sits in beta: an eigenvalue of 1e-200
+        # would read as a kernel mode.
+        spec = Spectrum(eigenvalues=np.array([1.0, 5e199, 1e200, 2e200]))
         with pytest.warns(UserWarning, match="misses the target"):
-            z = solve_fugacity(1e190, 1.0, 1.0, spec, v_s=1.0)
-        assert z < max_fugacity(spec, GasState(beta=1.0, z=z))
+            z = solve_fugacity(1e190, 1e-200, 1.0, spec, v_s=1.0)
+        assert z < max_fugacity(spec, GasState(beta=1e-200, z=z))
 
     def test_unresolvable_target_near_cap_warns(self, sc31_l4_neumann):
         # n_0 ~ 1e12 needs u_0 to 1e-24; a float z near 1 resolves 1e-16
@@ -622,6 +632,16 @@ class TestBlackbody:
         omega = math.pi * np.sqrt(j.astype(np.float64))
         want = float(np.sum(counts[j] * omega / np.expm1(beta * omega)))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_stored_kernel_mode_carries_no_energy(self, stored_ms31_l3_neumann):
+        # the stored ground mode is rounding noise above zero (+1.78e-14); it
+        # reads as the zero mode, so it adds nothing, not about 1 / beta
+        ev = stored_ms31_l3_neumann.eigenvalues
+        assert 0.0 < ev[0] < 1e-13
+        without = Spectrum(eigenvalues=ev[1:])
+        for beta in (0.5, 1.0):
+            assert blackbody_spectrum(stored_ms31_l3_neumann, beta, 1.0, 1.0) \
+                == blackbody_spectrum(without, beta, 1.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
