@@ -2,10 +2,11 @@
 
 Stages write their artifacts under an output directory with content-hash
 provenance in the file names; downstream stages reuse cached upstream
-artifacts instead of recomputing them.  All writes go through a temp file
-and an atomic rename, CSV floats are emitted with 17 significant digits and
-JSON floats as Python's shortest round-trip repr, and a rerun with the same
-inputs produces byte-identical files.
+artifacts instead of recomputing them.  Every file is written through
+carpetgas.artifacts (a temp file per process and an atomic rename; CSV
+values with 17 significant digits), JSON floats are emitted as Python's
+shortest round-trip repr, and a rerun with the same inputs produces
+byte-identical files.
 
 The cache directory defaults to <out>/cache and can be redirected with the
 CARPETGAS_CACHE environment variable.
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve, geometry, oracle, thermo, trace, zeta
+from .artifacts import FLOAT_FMT, atomic_open, write_csv
 from .errors import DIVERGED, CarpetGasError, DomainError
 from .geometry import CarpetSpec
 from .graph import build_graph, export_graph
 
-FLOAT_FMT = "%.17g"
 CACHE_ENV = "CARPETGAS_CACHE"
 
 _EUCLID_DIMS = {"interval": 1, "square": 2, "cube": 3}
@@ -58,13 +59,6 @@ def _json_safe(obj):
 
 def _dump_json(payload) -> str:
     return json.dumps(_json_safe(payload), indent=1, sort_keys=True) + "\n"
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _emit(payload) -> None:
@@ -203,7 +197,8 @@ def cmd_carpet_validate(ns) -> int:
     if report.ok:
         payload["dimensions"] = geometry.dimension_bounds(spec, check=False).as_dict()
     path = os.path.join(_out_dir(ns), f"carpet-{spec.spec_hash()}.json")
-    _write_atomic(path, _dump_json(payload))
+    with atomic_open(path) as fh:
+        fh.write(_dump_json(payload))
     payload["artifact"] = path
     _emit(payload)
     return 0 if report.ok else 1
@@ -256,9 +251,7 @@ def cmd_graph_build(ns) -> int:
             meta = json.load(fh)
     else:
         g = build_graph(spec, level, ns.adjacency)
-        export_graph(g, edges_path + ".tmp", meta_path + ".tmp")
-        os.replace(edges_path + ".tmp", edges_path)
-        os.replace(meta_path + ".tmp", meta_path)
+        export_graph(g, edges_path, meta_path)
         meta = {
             "n_vertices": g.n_vertices,
             "n_edges": g.n_edges,
@@ -336,26 +329,22 @@ def cmd_trace_analyze(ns) -> int:
         counting_period_ratio = counting_period / result["period"]
     except DomainError:  # curve too short to hold two periods
         counting_period_ratio = None
-    lines = ["s,W"]
-    for xi, wi in zip(x, W):
-        lines.append(f"{_f(math.exp(xi))},{_f(wi)}")
     csv_path = os.path.join(out, f"weyl-{key}.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    write_csv(csv_path, ("s", "W"),
+              ((math.exp(xi), wi) for xi, wi in zip(x, W)))
 
     plot_path = os.path.join(out, f"weyl_plot-{key}.py")
-    _write_atomic(plot_path, _PLOT_SCRIPT.format(
-        csv=os.path.basename(csv_path), ds=_f(d_s),
-        png=os.path.basename(csv_path).replace(".csv", ".png")))
+    with atomic_open(plot_path) as fh:
+        fh.write(_PLOT_SCRIPT.format(
+            csv=os.path.basename(csv_path), ds=_f(d_s),
+            png=os.path.basename(csv_path).replace(".csv", ".png")))
 
-    ghat_lines = ["k,p,re_exponent,im_exponent,re_coefficient,im_coefficient"]
-    for term in sorted(model.terms, key=lambda t: (t.k, t.p)):
-        ghat_lines.append(",".join([
-            str(term.k), str(term.p),
-            _f(term.exponent.real), _f(term.exponent.imag),
-            _f(term.coefficient.real), _f(term.coefficient.imag),
-        ]))
     ghat_path = os.path.join(out, f"ghat-{key}.csv")
-    _write_atomic(ghat_path, "\n".join(ghat_lines) + "\n")
+    write_csv(ghat_path, ("k", "p", "re_exponent", "im_exponent",
+                          "re_coefficient", "im_coefficient"),
+              ((t.k, t.p, t.exponent.real, t.exponent.imag,
+                t.coefficient.real, t.coefficient.imag)
+               for t in sorted(model.terms, key=lambda t: (t.k, t.p))))
 
     _emit({
         "stage": "trace-analyze",
@@ -403,9 +392,8 @@ def cmd_zeta_eval(ns) -> int:
     value = zeta.zeta_extended(ext, s)
     key = _key("zeta-eval", tag, _f(s.real), _f(s.imag))
     csv_path = os.path.join(_out_dir(ns), f"zeta_eval-{key}.csv")
-    _write_atomic(csv_path, "re_s,im_s,re_value,im_value,error_bound\n"
-                  + ",".join([_f(s.real), _f(s.imag), _f(value.real),
-                              _f(value.imag), _f(ext.last_error)]) + "\n")
+    write_csv(csv_path, ("re_s", "im_s", "re_value", "im_value", "error_bound"),
+              [(s.real, s.imag, value.real, value.imag, ext.last_error)])
     _emit({
         "stage": "zeta-eval",
         "source": tag,
@@ -421,8 +409,10 @@ def cmd_zeta_poles(ns) -> int:
     ext, tag = _extension_for(ns)
     key = _key("zeta-poles", tag)
     path = os.path.join(_out_dir(ns), f"zeta_poles-{key}.csv")
-    zeta.export_poles_csv(ext, path + ".tmp")
-    os.replace(path + ".tmp", path)
+    write_csv(path, ("k", "p", "n", "re_location", "im_location",
+                     "re_residue", "im_residue"),
+              ((p.k, p.p, p.n, p.location.real, p.location.imag,
+                p.residue.real, p.residue.imag) for p in ext.poles))
     towers = sorted({(p.k, p.p) for p in ext.poles})
     _emit({
         "stage": "zeta-poles",
@@ -435,8 +425,6 @@ def cmd_zeta_poles(ns) -> int:
 
 
 def cmd_zeta_casimir(ns) -> int:
-    if ns.gamma != 0.0:
-        raise CarpetGasError("casimir energy is defined at gamma = 0")
     ext, tag = _extension_for(ns)
     energy = zeta.casimir_energy(ext)
     _emit({
@@ -479,7 +467,8 @@ def cmd_thermo_bec(ns) -> int:
         payload["critical_density_upper"] = hi
         payload["critical_density_lower"] = lo
     path = os.path.join(_out_dir(ns), f"bec-{spec.spec_hash()}.json")
-    _write_atomic(path, _dump_json(payload))
+    with atomic_open(path) as fh:
+        fh.write(_dump_json(payload))
     payload["artifact"] = path
     _emit(payload)
     return 0
@@ -535,30 +524,24 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_thermo_sweep(ns) -> int:
     model, _tail, tag = _source(ns)
     grid = _parse_grid(SWEEP_GRIDS[ns.quantity] if ns.grid is None else ns.grid)
-    # in_window is 1 on rows inside the model path's asymptotic window, at
-    # the default domain scale L = 1
-    flags = []
+    # in_window, the last column, is 1 on rows inside the model path's
+    # asymptotic window, at the default domain scale L = 1
     if ns.quantity == "density":
-        lines = ["z,density,in_window"]
+        header = ("z", "density", "in_window")
         inside = int(1.0 / ns.beta >= thermo.MASSIVE_REGIME)
-        for z in grid:
-            state = thermo.GasState(beta=ns.beta, z=float(z))
-            rho = thermo.particle_density(state, model)
-            flags.append(inside)
-            lines.append(f"{_f(z)},{_f(rho)},{inside}")
+        rows = [(z, thermo.particle_density(thermo.GasState(beta=ns.beta, z=float(z)),
+                                            model), inside) for z in grid]
         key = _key("sweep-density", tag, _f(ns.beta), ns.grid)
     else:
-        lines = ["beta,energy_density,pressure,in_window"]
-        for beta in grid:
-            energy, pressure = thermo.blackbody(model, float(beta))
-            inside = int(1.0 / beta >= thermo.MASSLESS_REGIME)
-            flags.append(inside)
-            lines.append(f"{_f(beta)},{_f(energy)},{_f(pressure)},{inside}")
+        header = ("beta", "energy_density", "pressure", "in_window")
+        rows = [(beta, *thermo.blackbody(model, float(beta)),
+                 int(1.0 / beta >= thermo.MASSLESS_REGIME)) for beta in grid]
         key = _key("sweep-blackbody", tag, ns.grid)
     path = os.path.join(_out_dir(ns), f"sweep-{ns.quantity}-{key}.csv")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, header, rows)
     _emit({"stage": "thermo-sweep", "quantity": ns.quantity, "source": tag,
-           "rows": len(flags), "rows_in_window": sum(flags), "artifact": path})
+           "rows": len(rows), "rows_in_window": sum(row[-1] for row in rows),
+           "artifact": path})
     return 0
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 # loads on the first solve; importing Spectrum costs numpy only
 import scipy
 
+from .artifacts import atomic_open
 from .errors import CapExceededError, ConvergenceError, FactorizationError
 from .geometry import validate_spec
 from .graph import laplacian
@@ -552,11 +552,9 @@ def save_spectrum(spectrum: Spectrum, path: str) -> None:
         "solver": solver_settings(),
     }
     payload = {"header": header, "eigenvalues": spectrum.eigenvalues.tolist()}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         # dumps runs the C encoder; dump streams through the Python one
         fh.write(json.dumps(payload))
-    os.replace(tmp, path)
 
 
 def load_spectrum(path: str) -> Spectrum:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import InvalidCarpetError, MalformedSpecError
 
 Cell = tuple[int, ...]
@@ -350,5 +351,5 @@ def load_spec(path) -> CarpetSpec:
 
 
 def save_spec(spec: CarpetSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(format_spec_text(spec))

@@ -20,6 +20,7 @@ import numpy as np
 # scipy.sparse loads on the first laplacian call, not with this module
 import scipy
 
+from .artifacts import atomic_open
 from .errors import CapExceededError, DomainError
 from .geometry import CarpetSpec
 
@@ -164,7 +165,7 @@ def degree_stats(graph: ApproxGraph) -> dict:
 
 def export_graph(graph: ApproxGraph, edges_path, meta_path) -> None:
     """Edge list (one 'i j' per line) plus a JSON metadata header."""
-    with open(edges_path, "w", encoding="utf-8") as fh:
+    with atomic_open(edges_path) as fh:
         for i, j in graph.edges.tolist():
             fh.write(f"{i} {j}\n")
     meta = {
@@ -176,6 +177,6 @@ def export_graph(graph: ApproxGraph, edges_path, meta_path) -> None:
         "n_boundary": int(graph.boundary.size),
         "degrees": degree_stats(graph),
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with atomic_open(meta_path) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

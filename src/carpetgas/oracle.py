@@ -124,8 +124,7 @@ def box_model(dimension: int, bc: str = "dirichlet",
     for k in range(dimension + 1):
         coef = math.comb(dimension, k) * (4.0 * math.pi) ** (-(dimension - k) / 2.0) * sign**k
         terms.append(ModelTerm(k, 0, complex((dimension - k) / 2.0), complex(coef)))
-    return HeatTraceModel(terms=terms, period=period, d_s=float(dimension),
-                          d_w=2.0, remainder="theta-tail")
+    return HeatTraceModel(terms=terms, period=period, d_s=float(dimension))
 
 
 def euclid_bec_critical(dimension: int, beta: float):

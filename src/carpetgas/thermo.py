@@ -441,12 +441,11 @@ def _photon_coefficient(coefficient: complex, D: complex) -> complex:
     return coefficient * cgamma((D + 1.0) / 2.0) * riemann_zeta(D + 1.0)
 
 
-def _radiation_sum(model: HeatTraceModel, beta: float, L: float,
-                   weight_energy: bool) -> complex:
+def _radiation_sum(model: HeatTraceModel, beta: float, L: float) -> complex:
     """sum over trace terms of the photon-gas Mellin coefficients.
 
     Each term G t^(-e) contributes, with d = 2e,
-        G (2L/beta)^d Gamma((d+1)/2) zeta(d+1) / sqrt(pi) * [d if energy],
+        G (2L/beta)^d Gamma((d+1)/2) zeta(d+1) / sqrt(pi) * d,
     the subordination image of the half-power heat kernel.  Terms with
     Re d <= 0 are dropped: their zeta arguments hit the pole and physically
     they are o(1) surface corrections with no extensive radiation content.
@@ -458,9 +457,7 @@ def _radiation_sum(model: HeatTraceModel, beta: float, L: float,
             continue
         piece = _photon_coefficient(term.coefficient, d) \
             * cmath.exp(d * math.log(2.0 * L / beta)) / math.sqrt(math.pi)
-        if weight_energy:
-            piece *= d
-        acc += piece
+        acc += piece * d
     return acc
 
 
@@ -477,7 +474,7 @@ def blackbody(model: HeatTraceModel, beta: float, L: float = 1.0):
     _check_window("L/beta", L / beta, MASSLESS_REGIME,
                   "; dropped short-scale terms may matter")
     v_s = spectral_volume(model, L)
-    total = _radiation_sum(model, beta, L, weight_energy=True) / (beta * v_s)
+    total = _radiation_sum(model, beta, L) / (beta * v_s)
     if abs(total.imag) > 1e-9 * max(abs(total.real), 1e-300):
         raise DomainError(f"radiation sum has imaginary part {float(total.imag)}")
     energy = total.real

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import DomainError, InsufficientDataError
 from .eigensolve import Spectrum
 
@@ -60,15 +60,11 @@ class HeatTraceModel:
     terms: list[ModelTerm]
     period: float
     d_s: float
-    d_w: float | None = None
-    remainder: str = "stretched-exponential"
 
     def __post_init__(self):
         # Python floats, for the reason given in ModelTerm
         self.period = float(self.period)
         self.d_s = float(self.d_s)
-        if self.d_w is not None:
-            self.d_w = float(self.d_w)
         by_kp = {(t.k, t.p): t.coefficient for t in self.terms}
         for (k, p), c in by_kp.items():
             if (k, -p) in by_kp:
@@ -108,7 +104,6 @@ class WeylSeries:
 
     t: np.ndarray
     K: np.ndarray
-    d_s: float | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)
@@ -118,11 +113,8 @@ class WeylSeries:
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("t grid must be strictly increasing")
 
-    def weyl_ratio(self, d_s: float | None = None) -> np.ndarray:
-        ds = self.d_s if d_s is None else d_s
-        if ds is None:
-            raise ValueError("no spectral dimension attached")
-        return self.K * self.t ** (0.5 * ds)
+    def weyl_ratio(self, d_s: float) -> np.ndarray:
+        return self.K * self.t ** (0.5 * d_s)
 
 
 def trace_values(eigenvalues: np.ndarray, t) -> np.ndarray:
@@ -283,8 +275,7 @@ def estimate_period(spec, d_s: float) -> float:
 
 def extract_fourier(series: WeylSeries, d_s: float, period: float,
                     p_max: int = P_MAX_DEFAULT,
-                    window: tuple[float, float] | None = None,
-                    d_w: float | None = None) -> HeatTraceModel:
+                    window: tuple[float, float] | None = None) -> HeatTraceModel:
     """Project W(t) = K t^(d_s/2) onto Fourier modes in x = -log t.
 
     Averages over the last M whole periods inside the window (Cesaro sense);
@@ -328,11 +319,7 @@ def extract_fourier(series: WeylSeries, d_s: float, period: float,
         terms.append(ModelTerm(0, p, exp_p, coef))
         if p > 0:
             terms.append(ModelTerm(0, -p, exp_p.conjugate(), coef.conjugate()))
-    remainder = "stretched-exponential"
-    if d_w is not None and d_w > 1:
-        remainder = f"stretched-exponential(rate exponent {1.0 / (d_w - 1.0):.6g})"
-    return HeatTraceModel(terms=terms, period=period, d_s=d_s, d_w=d_w,
-                          remainder=remainder)
+    return HeatTraceModel(terms=terms, period=period, d_s=d_s)
 
 
 def counting_ratio(spectrum: Spectrum, d_s: float, points: int = 4096,
@@ -443,17 +430,14 @@ def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT) -> dict:
     t_hi = max(windows["fit"][1], windows["fourier"][1])
     series = heat_trace(spectrum, log_grid(t_lo, t_hi, ANALYSIS_POINTS))
     d_s, stderr = fit_spectral_dimension(series, windows["fit"])
-    series.d_s = d_s
     if spec is not None:
         period = estimate_period(spec, d_s)
-        d_w = 2.0 * spec.d_h / d_s
     else:
         # counting-function domain: the log-periodic factor survives there,
         # while the heat trace suppresses it by a fast-decaying Gamma factor
         period, _ = dominant_log_period(*counting_ratio(spectrum, d_s))
-        d_w = None
     model = extract_fourier(series, d_s, period, p_max=p_max,
-                            window=windows["fourier"], d_w=d_w)
+                            window=windows["fourier"])
     return {
         "series": series,
         "d_s": d_s,
@@ -467,9 +451,7 @@ def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT) -> dict:
 def save_model(model: HeatTraceModel, path: str) -> None:
     payload = {
         "d_s": model.d_s,
-        "d_w": model.d_w,
         "period": model.period,
-        "remainder": model.remainder,
         "terms": [
             {
                 "k": t.k,
@@ -480,10 +462,8 @@ def save_model(model: HeatTraceModel, path: str) -> None:
             for t in model.terms
         ],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1)
-    os.replace(tmp, path)
 
 
 def load_model(path: str) -> HeatTraceModel:
@@ -502,6 +482,4 @@ def load_model(path: str) -> HeatTraceModel:
         terms=terms,
         period=float(payload["period"]),
         d_s=float(payload["d_s"]),
-        d_w=payload.get("d_w"),
-        remainder=payload.get("remainder", "stretched-exponential"),
     )

@@ -13,7 +13,6 @@ factor makes trivial zeros at -1, -2, ... exact.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -282,10 +281,6 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
         return ext
     remainder_fn = None
     if isinstance(tail, Spectrum):
-        if tail.num_zero_modes and gamma.real <= 0:
-            raise DomainError(
-                "spectrum has zero modes; the t >= t1 integral needs gamma > 0"
-            )
         if gamma.imag != 0:
             raise DomainError("spectrum tails support real gamma only")
         decay = (tail.lambda_max + gamma.real) * t1 if tail.n else math.inf
@@ -365,16 +360,3 @@ def casimir_energy(source) -> float:
         )
     return 0.5 * v.real
 
-
-def export_poles_csv(ext: ZetaExtension, path: str) -> None:
-    """Pole table (k, p, n, location, residue) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p", "n", "re_location", "im_location",
-                        "re_residue", "im_residue"])
-        for pole in ext.poles:
-            writer.writerow([
-                pole.k, pole.p, pole.n,
-                "%.17g" % pole.location.real, "%.17g" % pole.location.imag,
-                "%.17g" % pole.residue.real, "%.17g" % pole.residue.imag,
-            ])

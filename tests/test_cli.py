@@ -249,9 +249,19 @@ class TestZetaStage:
                            "--out", workdir)
         assert payload["n_poles"] > 0
         assert [0, 0] in payload["towers"]
-        with open(payload["artifact"]) as fh:
-            header = fh.readline().strip()
+        with open(payload["artifact"], "rb") as fh:
+            raw = fh.read()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        header, *rows = raw.decode().splitlines()
         assert header == "k,p,n,re_location,im_location,re_residue,im_residue"
+        assert len(rows) == payload["n_poles"]
+        towers = set()
+        for row in rows:
+            k, p, n, *values = row.split(",")
+            towers.add((int(k), int(p)))
+            assert int(n) >= 0
+            assert len([float(v) for v in values]) == 4
+        assert sorted(towers) == [tuple(t) for t in payload["towers"]]
 
     def test_casimir_value_and_gamma_guard(self, capsys, workdir):
         payload = run_json(capsys, "zeta", "casimir", "--euclid", "interval",

@@ -26,7 +26,6 @@ from carpetgas.zeta import (
     ZetaExtension,
     build_extension,
     casimir_energy,
-    export_poles_csv,
     zeta_direct,
     zeta_extended,
 )
@@ -325,15 +324,3 @@ class TestCasimir:
         with pytest.raises(DomainError):
             casimir_energy(ext)
 
-
-class TestExport:
-    def test_poles_csv(self, interval_ext, tmp_path):
-        path = tmp_path / "poles.csv"
-        export_poles_csv(interval_ext, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,p,n,re_location,im_location,re_residue,im_residue"
-        assert len(lines) == len(interval_ext.poles) + 1
-        first = lines[1].split(",")
-        assert len(first) == 7
-        int(first[0]), int(first[1]), int(first[2])
-        float(first[3]), float(first[5])
