@@ -169,11 +169,7 @@ def _source(ns):
         exact = functools.partial(oracle.box_trace_exact, oracle.unit_box(dim, bc))
         return oracle.box_model(dim, bc), exact, f"euclid-{ns.euclid}-{bc}"
     if ns.ds is not None:
-        coef = (4.0 * math.pi) ** (-ns.ds / 2.0)
-        model = trace.HeatTraceModel(
-            terms=[trace.ModelTerm(0, 0, complex(ns.ds / 2.0), complex(coef))],
-            period=1.0, d_s=ns.ds)
-        return model, None, f"flat-ds-{_f(ns.ds)}"
+        return trace.flat_model(ns.ds), None, f"flat-ds-{_f(ns.ds)}"
     result = _analysis_for(ns, _resolve_spec(ns))
     return result["model"], result["spectrum"], f"carpet-{result['key']}"
 
@@ -367,21 +363,12 @@ def cmd_trace_analyze(ns) -> int:
 
 
 def _extension_for(ns):
-    """Zeta continuation of an exact --euclid box or a carpet chain.
-
-    On a carpet, gamma is 1 when the spectrum has a zero mode and t1 is
-    min(1, zeta.TAIL_DECAY / (lambda_max + gamma)), each unless given.
-    """
+    """Zeta continuation of an exact --euclid box or a carpet chain; gamma
+    and t1, unless given, are zeta.build_extension's for the tail."""
     model, tail, tag = _source(ns)
-    gamma, t1 = ns.gamma, ns.t1
-    if isinstance(tail, eigensolve.Spectrum):
-        if "gamma" not in ns.given and tail.num_zero_modes:
-            gamma = 1.0  # Neumann zero mode needs a positive shift
-        if "t1" not in ns.given:
-            t1 = min(1.0, zeta.TAIL_DECAY / (tail.lambda_max + gamma))
-    ext = zeta.build_extension(model, gamma=gamma, tail=tail, t1=t1,
+    ext = zeta.build_extension(model, gamma=ns.gamma, tail=tail, t1=ns.t1,
                                n_max=ns.nmax)
-    return ext, f"{tag}-g{_f(gamma)}-t{_f(t1)}"
+    return ext, f"{tag}-g{_f(ext.gamma.real)}-t{_f(ext.t1)}"
 
 
 def cmd_zeta_eval(ns) -> int:
@@ -528,14 +515,14 @@ def cmd_thermo_sweep(ns) -> int:
     # asymptotic window, at the default domain scale L = 1
     if ns.quantity == "density":
         header = ("z", "density", "in_window")
-        inside = int(1.0 / ns.beta >= thermo.MASSIVE_REGIME)
+        inside = int(thermo.massive_in_window(1.0, ns.beta))
         rows = [(z, thermo.particle_density(thermo.GasState(beta=ns.beta, z=float(z)),
                                             model), inside) for z in grid]
         key = _key("sweep-density", tag, _f(ns.beta), ns.grid)
     else:
         header = ("beta", "energy_density", "pressure", "in_window")
         rows = [(beta, *thermo.blackbody(model, float(beta)),
-                 int(1.0 / beta >= thermo.MASSLESS_REGIME)) for beta in grid]
+                 int(thermo.massless_in_window(1.0, beta))) for beta in grid]
         key = _key("sweep-blackbody", tag, ns.grid)
     path = os.path.join(_out_dir(ns), f"sweep-{ns.quantity}-{key}.csv")
     write_csv(path, header, rows)
@@ -649,11 +636,11 @@ OPTIONS = {
     "euclid": Option("use an exact Euclidean box instead of a carpet",
                      choices=tuple(sorted(_EUCLID_DIMS))),
     "ds": Option("flat model with this spectral dimension", type=float),
-    "gamma": Option("spectral shift; a carpet with a zero mode takes 1 unless "
-                    "given", 0.0, type=float),
-    "t1": Option("Mellin split point; a carpet takes min(1, "
-                 f"{zeta.TAIL_DECAY:g}/(lambda_max + gamma)) unless given",
-                 1.0, type=float),
+    "gamma": Option("spectral shift; unless given, zeta.build_extension's: 1 "
+                    "for a carpet with a zero mode, else 0", type=float),
+    "t1": Option("Mellin split point; unless given, zeta.build_extension's: on "
+                 "a carpet the point, at most 1, where the top mode has "
+                 "decayed, else 1", type=float),
     "nmax": Option("expansion depth per tower", zeta.N_MAX_DEFAULT, type=int),
     "s": Option("evaluation point, complex literal"),
     "beta": Option("inverse temperature; thermo casimir adds the thermal "

@@ -160,6 +160,25 @@ class _Shiftable:
         return self.matrix
 
 
+def _symmetric_factors(A: _Shiftable, sigma: float, pivot_thresh: float,
+                       skip_zero_diagonal: bool = False):
+    """SuperLU factors of A - shift*I in symmetric mode (minimum degree on A + A^T,
+    diagonal pivots down to ``pivot_thresh`` of the column's largest entry) down
+    sigma's shift ladder, past shifts that are exactly singular or, with
+    ``skip_zero_diagonal``, hold a zero on the diagonal."""
+    for shift in _shift_ladder(A.max_abs, sigma)[1]:
+        shifted = A.shifted(shift)
+        if skip_zero_diagonal and not np.all(shifted.data[A.diag]):
+            continue
+        try:
+            lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=pivot_thresh,
+                                          options=dict(SymmetricMode=True))
+        except RuntimeError:  # exactly singular
+            continue
+        yield lu
+
+
 def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
     """Number of eigenvalues of a symmetric matrix strictly below ``sigma``.
 
@@ -178,20 +197,11 @@ def inertia_count(matrix: scipy.sparse.spmatrix, sigma: float) -> int:
     _Shiftable, which callers counting at several shifts prepare once.
     """
     A = matrix if isinstance(matrix, _Shiftable) else _Shiftable(matrix)
-    scale, shifts = _shift_ladder(A.max_abs, sigma)
+    scale = _shift_ladder(A.max_abs, sigma)[0]
     floor = A.n * np.finfo(np.float64).eps * scale
-    for shift in shifts:
-        shifted = A.shifted(shift)
-        # SuperLU would pivot an exactly zero diagonal entry off the
-        # diagonal, which loses the symmetric order and its sparsity.
-        if not np.all(shifted.data[A.diag]):
-            continue
-        try:
-            lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                                          diag_pivot_thresh=0.0,
-                                          options=dict(SymmetricMode=True))
-        except RuntimeError:  # exactly singular
-            continue
+    # SuperLU would pivot an exactly zero diagonal entry off the diagonal,
+    # which loses the symmetric order and its sparsity.
+    for lu in _symmetric_factors(A, sigma, 0.0, skip_zero_diagonal=True):
         d = lu.U.diagonal()
         if np.array_equal(lu.perm_r, lu.perm_c) \
                 and np.all(np.isfinite(d) & (np.abs(d) > floor)):
@@ -206,12 +216,9 @@ def _residual_spot_check(matrix: scipy.sparse.csr_matrix, w: np.ndarray) -> None
     # Certify a few eigenvalues of the vector-free solve by inverse iteration
     # on the sparse matrix: two solves with B - w[idx]*I from a seeded random
     # start give a unit v, whose true residual and Rayleigh quotient must
-    # both be close to w[idx].  Each shift is factored in SuperLU's symmetric
-    # mode, as inertia_count does, but with threshold pivoting (a diagonal
-    # pivot is kept down to 0.1 of its column's largest entry): the solve
-    # must be stable, and no inertia is read off it.  A shift that is an
-    # exact eigenvalue makes the factor exactly singular; it is lowered
-    # along the shift ladder.
+    # both be close to w[idx].  The factor is the first of
+    # _symmetric_factors, with threshold pivoting where inertia_count has
+    # none: the solve must be stable, and no inertia is read off it.
     B = _Shiftable(matrix)
     n = B.n
     norm = max(B.max_abs, 1.0) * n
@@ -222,15 +229,8 @@ def _residual_spot_check(matrix: scipy.sparse.csr_matrix, w: np.ndarray) -> None
         idxs += [n // 2, n // 2 + 1]
     rng = np.random.default_rng(0)
     for idx in idxs:
-        for shift in _shift_ladder(B.max_abs, w[idx])[1]:
-            try:
-                lu = scipy.sparse.linalg.splu(B.shifted(shift), permc_spec="MMD_AT_PLUS_A",
-                                              diag_pivot_thresh=0.1,
-                                              options=dict(SymmetricMode=True))
-                break
-            except RuntimeError:  # exactly singular
-                continue
-        else:
+        lu = next(_symmetric_factors(B, w[idx], 0.1), None)
+        if lu is None:
             raise FactorizationError(
                 f"inverse iteration at index {idx}: factorization singular at "
                 f"every shift step {INERTIA_STEPS}"

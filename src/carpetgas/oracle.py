@@ -68,6 +68,19 @@ def box_spectrum(box: BoxSpec, cutoff: float) -> Spectrum:
     return Spectrum(np.sort(sums), bc=box.bc, complete=False, method="oracle-box")
 
 
+def _theta_sum(term) -> float:
+    """sum_{j>=1} term(j) of a decreasing positive series, stopped at the
+    first term below 1e-300 or below 1e-20 of the partial sum."""
+    total = 0.0
+    j = 1
+    while True:
+        value = term(j)
+        total += value
+        if value < 1e-300 or value < 1e-20 * max(total, 1e-300):
+            return total
+        j += 1
+
+
 def interval_trace_exact(tau: float, bc: str = "dirichlet") -> float:
     """Heat trace of the unit-interval Laplacian at time tau.
 
@@ -78,24 +91,9 @@ def interval_trace_exact(tau: float, bc: str = "dirichlet") -> float:
     if tau <= 0:
         raise DomainError("tau must be positive")
     if tau >= 1.0:
-        total = 0.0
-        j = 1
-        while True:
-            term = math.exp(-j * j * math.pi * math.pi * tau)
-            total += term
-            if term < 1e-300 or term < 1e-20 * max(total, 1e-300):
-                break
-            j += 1
-        dirichlet = total
+        dirichlet = _theta_sum(lambda j: math.exp(-j * j * math.pi * math.pi * tau))
     else:
-        s = 0.0
-        k = 1
-        while True:
-            term = math.exp(-k * k / tau)
-            s += term
-            if term < 1e-300 or term < 1e-20 * max(s, 1e-300):
-                break
-            k += 1
+        s = _theta_sum(lambda k: math.exp(-k * k / tau))
         dirichlet = (1.0 + 2.0 * s) / math.sqrt(4.0 * math.pi * tau) - 0.5
     return dirichlet + 1.0 if bc == "neumann" else dirichlet
 

@@ -113,14 +113,21 @@ def _volume_terms(model: HeatTraceModel):
     return [t for t in model.terms if t.k == 0]
 
 
-def _check_window(label: str, ratio: float, floor: float, consequence: str = "",
-                  stacklevel: int = 3):
-    """Warn when a model-path scale ratio is below its asymptotic window.
+def massive_in_window(length: float, beta: float) -> bool:
+    """Whether length^2/beta is in the massive model path's asymptotic window."""
+    return length * length / beta >= MASSIVE_REGIME
 
-    The default stacklevel points at the caller of the public function that
-    calls this helper directly.
-    """
-    if ratio < floor:
+
+def massless_in_window(length: float, beta: float) -> bool:
+    """Whether length/beta (also a/b, a/beta) is in the massless window."""
+    return length / beta >= MASSLESS_REGIME
+
+
+def _check_window(inside: bool, label: str, ratio: float, floor: float,
+                  consequence: str = "", stacklevel: int = 3):
+    """Warn unless ``inside``, the window test of a model-path scale ratio; the
+    default stacklevel points at the caller of the public function calling this."""
+    if not inside:
         warnings.warn(
             f"{label} = {ratio:.3g} below the asymptotic window >= {floor:g}"
             + consequence,
@@ -130,9 +137,17 @@ def _check_window(label: str, ratio: float, floor: float, consequence: str = "",
 
 
 def _check_massive_regime(state: GasState):
-    _check_window("L^2/beta", state.L * state.L / state.beta, MASSIVE_REGIME,
+    _check_window(massive_in_window(state.L, state.beta), "L^2/beta",
+                  state.L * state.L / state.beta, MASSIVE_REGIME,
                   "; model-path values carry uncontrolled finite-size corrections",
                   stacklevel=4)
+
+
+def _real(value: complex, tol: float, name: str) -> float:
+    """Real part of a model-path sum whose imaginary part cancels to ``tol``."""
+    if abs(value.imag) > tol * max(abs(value.real), 1e-300):
+        raise DomainError(f"{name} has imaginary part {float(value.imag)}")
+    return value.real
 
 
 def _polylog_tower(state: GasState, terms, order: float) -> complex:
@@ -471,13 +486,10 @@ def blackbody(model: HeatTraceModel, beta: float, L: float = 1.0):
     """
     if beta <= 0 or L <= 0:
         raise DomainError("beta and L must be positive")
-    _check_window("L/beta", L / beta, MASSLESS_REGIME,
+    _check_window(massless_in_window(L, beta), "L/beta", L / beta, MASSLESS_REGIME,
                   "; dropped short-scale terms may matter")
     v_s = spectral_volume(model, L)
-    total = _radiation_sum(model, beta, L) / (beta * v_s)
-    if abs(total.imag) > 1e-9 * max(abs(total.real), 1e-300):
-        raise DomainError(f"radiation sum has imaginary part {float(total.imag)}")
-    energy = total.real
+    energy = _real(_radiation_sum(model, beta, L) / (beta * v_s), 1e-9, "radiation sum")
     return energy, energy / model.d_s
 
 
@@ -520,7 +532,7 @@ def casimir_waveguide_zero_T(carpet_model: HeatTraceModel, a: float,
     """
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
-    _check_window("a/b", a / b, MASSLESS_REGIME)
+    _check_window(massless_in_window(a, b), "a/b", a / b, MASSLESS_REGIME)
     ds = carpet_model.d_s
     d_so = ds + 1.0
     log_ab = math.log(a / b)
@@ -534,10 +546,8 @@ def casimir_waveguide_zero_T(carpet_model: HeatTraceModel, a: float,
     pressure = -(b ** (-(d_so + 1.0))
                  / ((4.0 * math.pi) ** ((d_so + 1.0) / 2.0) * carpet_model.g00)) \
         * p_acc
-    for name, val in (("energy", energy), ("pressure", pressure)):
-        if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-            raise DomainError(f"waveguide {name} has imaginary part {float(val.imag)}")
-    return energy.real, pressure.real
+    return (_real(energy, 1e-10, "waveguide energy"),
+            _real(pressure, 1e-10, "waveguide pressure"))
 
 
 def casimir_waveguide_thermal(carpet_model: HeatTraceModel, a: float, b: float,
@@ -552,13 +562,11 @@ def casimir_waveguide_thermal(carpet_model: HeatTraceModel, a: float, b: float,
         raise DomainError("beta must be positive")
     if a <= 0 or b <= 0:
         raise DomainError("a and b must be positive")
-    _check_window("a/beta", a / beta, MASSLESS_REGIME)
+    _check_window(massless_in_window(a, beta), "a/beta", a / beta, MASSLESS_REGIME)
     d_so = carpet_model.d_s + 1.0
     x = -math.log(beta / (2.0 * a))
     acc = 0.0 + 0.0j
     for shift, c in _waveguide_coefficients(carpet_model):
         acc += c * cmath.exp(2.0 * shift * x)
     acc /= carpet_model.g00 * math.pi ** ((d_so + 1.0) / 2.0)
-    if abs(acc.imag) > 1e-10 * max(abs(acc.real), 1e-300):
-        raise DomainError(f"thermal sum has imaginary part {float(acc.imag)}")
-    return acc.real * beta ** (-(d_so + 1.0))
+    return _real(acc, 1e-10, "thermal sum") * beta ** (-(d_so + 1.0))

@@ -98,6 +98,13 @@ class HeatTraceModel:
         return acc
 
 
+def flat_model(d_s: float) -> HeatTraceModel:
+    """The flat unit-volume law K(t) = (4 pi t)^(-d_s/2): one (0, 0) term, period 1."""
+    coef = (4.0 * math.pi) ** (-d_s / 2.0)
+    return HeatTraceModel(terms=[ModelTerm(0, 0, complex(d_s / 2.0), complex(coef))],
+                          period=1.0, d_s=d_s)
+
+
 @dataclass
 class WeylSeries:
     """Heat trace samples K(t) on an increasing t grid."""

@@ -48,29 +48,14 @@ class Pole:
     coefficient: complex   # G_{k,p} (-gamma)^n / n!, the tower coefficient
 
 
-def _estimate_ds(eigenvalues: np.ndarray) -> float:
-    """Slope of log lambda_j vs log j over the top decade (Weyl exponent)."""
-    n = eigenvalues.size
-    j0 = max(1, int(0.8 * n))
-    idx = np.arange(j0, n + 1, dtype=np.float64)
-    lam = eigenvalues[j0 - 1:]
-    lam = lam[lam > 0]
-    idx = idx[-lam.size:]
-    if lam.size < 5:
-        raise DomainError("too few positive eigenvalues for a tail estimate")
-    slope = np.polyfit(np.log(idx), np.log(lam), 1)[0]
-    if slope <= 0:
-        raise DomainError("eigenvalues do not grow; cannot estimate tail")
-    return 2.0 / slope
-
-
-def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0,
-                d_s: float | None = None, tail_correct: bool = True) -> complex:
+def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0, *,
+                d_s: float, tail_correct: bool = True) -> complex:
     """sum_j (lambda_j + gamma)^(-s) with a Weyl-based tail correction.
 
-    Convergence needs Re(s) > d_s/2.  Modes with lambda_j + gamma numerically
-    zero trigger a proximity warning and are excluded (their power is not
-    finite); exact zero modes at gamma = 0 are the usual case.
+    Convergence needs Re(s) > d_s/2, d_s the Weyl-law dimension of the tail
+    correction.  Modes with lambda_j + gamma numerically zero trigger a
+    proximity warning and are excluded (their power is not finite); exact
+    zero modes at gamma = 0 are the usual case.
     """
     s = complex(s)
     gamma = complex(gamma)
@@ -89,18 +74,17 @@ def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0,
     value = complex(math.fsum(powers.real), math.fsum(powers.imag))
     if not tail_correct or spectrum.n == 0:
         return value
-    ds = _estimate_ds(modes) if d_s is None else float(d_s)
-    if s.real <= ds / 2.0:
+    if s.real <= d_s / 2.0:
         raise DomainError(
-            f"Re(s)={s.real} <= d_s/2={ds / 2.0}; direct sum does not converge"
+            f"Re(s)={s.real} <= d_s/2={d_s / 2.0}; direct sum does not converge"
         )
     n = spectrum.n
     lam_top = complex(modes[-1])
-    # integral continuation of lambda(j) = lam_top (j/n)^(2/ds) past j = n,
+    # integral continuation of lambda(j) = lam_top (j/n)^(2/d_s) past j = n,
     # first order in gamma/lam_top
-    a = 2.0 * s / ds
+    a = 2.0 * s / d_s
     tail = n * (lam_top ** (-s)) / (a - 1.0)
-    tail -= n * s * gamma * (lam_top ** (-s - 1)) / (a + 2.0 / ds - 1.0)
+    tail -= n * s * gamma * (lam_top ** (-s - 1)) / (a + 2.0 / d_s - 1.0)
     return value + tail
 
 
@@ -254,8 +238,8 @@ def _build_poles(model: HeatTraceModel, gamma: complex, n_max: int) -> list[Pole
     return poles
 
 
-def build_extension(model: HeatTraceModel, gamma: complex, tail,
-                    t1: float = 1.0, n_max: int = N_MAX_DEFAULT,
+def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
+                    t1: float | None = None, n_max: int = N_MAX_DEFAULT,
                     allow_truncated_tail: bool = False) -> ZetaExtension:
     """Assemble the continuation from a model plus a t >= t1 representation.
 
@@ -266,10 +250,24 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
     means the model alone is continued -- a hard truncation of the t >= t1
     integral -- and must be opted into with ``allow_truncated_tail``
     (synthetic-model work); the pole structure is unaffected by the choice.
+
+    ``gamma`` None is 1 for a Spectrum tail with a zero mode (a constant
+    trace needs a shift to decay), else 0.  ``t1`` None is min(1, TAIL_DECAY
+    / (lambda_max + gamma)) for a Spectrum tail, where its top mode has
+    decayed, else (or if that sum is not positive) 1.  Re gamma < 0 is
+    rejected: e^(-gamma t) then grows without bound on the tail.
     """
+    is_spectrum = isinstance(tail, Spectrum)
+    if gamma is None:
+        gamma = 1.0 if is_spectrum and tail.num_zero_modes else 0.0
+    gamma = complex(gamma)
+    if gamma.real < 0:
+        raise DomainError(f"Re gamma = {gamma.real:g} < 0; the shift must be nonnegative")
+    if t1 is None:
+        top = tail.lambda_max + gamma.real if is_spectrum and tail.n else 0.0
+        t1 = min(1.0, TAIL_DECAY / top) if top > 0 else 1.0
     if t1 <= 0:
         raise DomainError("split point t1 must be positive")
-    gamma = complex(gamma)
     poles = _build_poles(model, gamma, n_max)
     ext = ZetaExtension(model=model, gamma=gamma, t1=t1, n_max=n_max, poles=poles)
     if tail is None:
@@ -280,7 +278,7 @@ def build_extension(model: HeatTraceModel, gamma: complex, tail,
             )
         return ext
     remainder_fn = None
-    if isinstance(tail, Spectrum):
+    if is_spectrum:
         if gamma.imag != 0:
             raise DomainError("spectrum tails support real gamma only")
         decay = (tail.lambda_max + gamma.real) * t1 if tail.n else math.inf

@@ -86,8 +86,7 @@ def kernel_observables(spectrum, spec):
     targets = (trace.FIT_WINDOW[1] * n, trace.FIT_WINDOW[0],
                trace.FOURIER_WINDOW[1] * n, trace.FOURIER_WINDOW[0])
     analysis = trace.analyze(spectrum, spec=spec)
-    t1 = min(1.0, 35.0 / (spectrum.lambda_max + 1.0))
-    ext = zeta.build_extension(analysis["model"], 1.0, spectrum, t1=t1)
+    ext = zeta.build_extension(analysis["model"], None, spectrum)
     densities = [thermo.particle_density(thermo.GasState(beta=1.0, z=z), spectrum, v_s=1.0)
                  for z in (1e-3, 0.5, 0.99)]
     return {

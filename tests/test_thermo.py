@@ -41,17 +41,7 @@ from carpetgas.thermo import (
     tail_density,
     waveguide_trace,
 )
-from carpetgas.trace import HeatTraceModel, ModelTerm, spectral_volume
-
-
-def flat_model(d_s):
-    """Pure-volume trace law of a unit Euclidean-like domain."""
-    coef = (4.0 * math.pi) ** (-d_s / 2.0)
-    return HeatTraceModel(
-        terms=[ModelTerm(0, 0, complex(d_s / 2.0), complex(coef))],
-        period=1.0,
-        d_s=float(d_s),
-    )
+from carpetgas.trace import HeatTraceModel, ModelTerm, flat_model, spectral_volume
 
 
 def rippled_model(d_s, amp, phi=0.0, period=1.0):

@@ -10,7 +10,7 @@ import pytest
 from carpetgas import trace as trace_module
 from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
-from carpetgas.oracle import box_spectrum, interval_trace_exact, unit_box
+from carpetgas.oracle import box_model, box_spectrum, interval_trace_exact, unit_box
 from carpetgas.trace import (
     EXP_UNDERFLOW,
     FIT_WINDOW,
@@ -26,6 +26,7 @@ from carpetgas.trace import (
     estimate_period,
     extract_fourier,
     fit_spectral_dimension,
+    flat_model,
     g0_extrema,
     heat_trace,
     load_model,
@@ -89,6 +90,13 @@ class TestHeatTraceModel:
         for x in (0.0, 0.3, 1.0):
             expect = 2.0 + 2 * 0.15 * math.cos(2 * math.pi * x / 1.25 + 0.7)
             assert m.g_profile(0, x).real == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flat_model_is_the_box_volume_term(self, d):
+        flat = flat_model(float(d))
+        volume = [t for t in box_model(d).terms if t.k == 0]
+        assert flat.terms == volume
+        assert (flat.period, flat.d_s) == (1.0, float(d))
 
 
 class TestWeylSeries:

@@ -249,6 +249,47 @@ class TestTailRoutes:
             warnings.simplefilter("error")
             build_extension(box_model(2, bc="neumann"), 1.0, full, t1=1.0)
 
+    @pytest.mark.parametrize("name,gamma", [
+        ("sc31_l3_neumann", 1.0), ("sc31_l3_dirichlet", 0.0),
+        ("neumann_interval", 1.0), ("dirichlet_interval", 0.0)])
+    def test_spectrum_tail_derives_gamma_and_t1(self, request, name, gamma):
+        # gamma is 1 only with a zero mode; t1 puts the top mode at
+        # e^-TAIL_DECAY, capped at 1 (the cap holds on the carpets, whose
+        # lambda_max is below 8)
+        if name.endswith("interval"):
+            spectrum = box_spectrum(unit_box(1, name.split("_")[0]), cutoff=4.0e4)
+        else:
+            spectrum = request.getfixturevalue(name)
+        ext = build_extension(box_model(1, spectrum.bc), None, spectrum)
+        assert ext.gamma == gamma
+        assert ext.t1 == min(1.0, TAIL_DECAY / (spectrum.lambda_max + gamma))
+        assert (ext.t1 == 1.0) == name.startswith("sc31")
+        # a given gamma is kept and sets t1 (test_zero_modes_need_gamma
+        # keeps an explicit 0 on a Neumann spectrum)
+        given = build_extension(box_model(1, spectrum.bc), 0.5, spectrum)
+        assert given.gamma == 0.5
+        assert given.t1 == min(1.0, TAIL_DECAY / (spectrum.lambda_max + 0.5))
+
+    def test_callable_tail_keeps_gamma_0_and_t1_1(self):
+        ext = build_extension(box_model(1, bc="dirichlet"), None,
+                              lambda t: interval_trace_exact(t))
+        assert (ext.gamma, ext.t1) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("gamma", [-5.0, -20.0])
+    @pytest.mark.parametrize("tail", ["spectrum", "exact"])
+    def test_negative_gamma_rejected_on_the_interval(self, interval_spectrum,
+                                                     gamma, tail):
+        # lambda_1 = pi^2 keeps the operator positive at gamma = -5, but the
+        # weight e^(-gamma t) overflows on the tail before it could decay
+        trace = interval_spectrum if tail == "spectrum" else interval_trace_exact
+        with pytest.raises(DomainError, match="Re gamma"):
+            build_extension(box_model(1, bc="dirichlet"), gamma, trace)
+
+    def test_negative_gamma_rejected_on_a_carpet(self, sc31_l4_neumann,
+                                                 sc31_l4_analysis):
+        with pytest.raises(DomainError, match="Re gamma"):
+            build_extension(sc31_l4_analysis["model"], -0.5, sc31_l4_neumann)
+
     def test_zero_modes_need_gamma(self):
         neu = box_spectrum(unit_box(1, bc="neumann"), cutoff=4.0e4)
         with pytest.raises(DomainError):
