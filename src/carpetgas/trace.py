@@ -383,13 +383,26 @@ def dominant_log_period(x, values,
     taper = np.hanning(n)
     detr = (ws - np.polyval(coef, xs)) * taper
     norm = 2.0 / np.sum(taper)
-    freqs = np.fft.rfftfreq(OVERSAMPLE * n, span / (n - 1))
-    band = (freqs >= 1.0 / p_hi) & (freqs <= 1.0 / p_lo)
-    if not band.any():
+    size = OVERSAMPLE * n
+    n_bins = size // 2 + 1
+    step = 1.0 / (size * (span / (n - 1)))   # the bin spacing of np.fft.rfftfreq
+
+    def bins_below(f):
+        """Count of the bins k whose frequency k * step, as rfftfreq rounds it, is < f."""
+        k = math.ceil(min(f / step, n_bins))
+        while k > 0 and (k - 1) * step >= f:
+            k -= 1
+        while k < n_bins and k * step < f:
+            k += 1
+        return k
+
+    k_lo = bins_below(1.0 / p_hi)
+    k_end = bins_below(math.nextafter(1.0 / p_lo, math.inf))
+    if k_lo >= k_end:
         raise DomainError(f"no frequency bin in the period range ({p_lo}, {p_hi})")
-    amps = np.abs(np.fft.rfft(detr, OVERSAMPLE * n)[band]) * norm
+    amps = np.abs(np.fft.rfft(detr, size)[k_lo:k_end]) * norm
     j = int(np.argmax(amps))
-    return 1.0 / float(freqs[band][j]), float(amps[j]) / abs(mean) if mean else float("inf")
+    return 1.0 / float((k_lo + j) * step), float(amps[j]) / abs(mean) if mean else float("inf")
 
 
 def spectral_volume(model: HeatTraceModel, length: float) -> float:

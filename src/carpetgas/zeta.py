@@ -6,9 +6,11 @@ through the Mellin transform of the heat trace: the model terms integrate in
 closed form on (0, t1] and produce the pole towers.  The t >= t1 tail of the
 trace K(t) -- an exact callable or a spectrum's own heat trace -- and, for an
 exact trace, the remainder K - model on (0, t1] are integrated on cached
-Gauss-Legendre panels.  Pole locations d_{k,p}/2 - n carry residues
+Gauss-Kronrod G15/K31 panels, refined in rounds with one trace call per
+round.  Pole locations d_{k,p}/2 - n carry residues
 (-1)^n gamma^n G_{k,p} / (n! Gamma(d_{k,p}/2 - n)); the reciprocal-gamma
-factor makes trivial zeros at -1, -2, ... exact.
+factor makes trivial zeros at -1, -2, ... exact.  The tower terms of one s
+are summed as one array expression.
 """
 
 from __future__ import annotations
@@ -88,57 +90,78 @@ def zeta_direct(spectrum: Spectrum, s: complex, gamma: complex = 0.0, *,
     return value + tail
 
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL31 = np.polynomial.legendre.leggauss(31)
+# The Gauss-Kronrod G15/K31 pair of QUADPACK's qk31 on [-1, 1], rounded to
+# float64 from a 60-digit mpmath computation: the Kronrod nodes x >= 0,
+# their weights, and the Gauss weights of x = 0, x_2, x_4, ..., x_14.
+# Mirrored into the 31 nodes in ascending order, the 15 Gauss nodes sit at
+# the odd positions.
+_XK_HALF = (0.0, 0.1011420669187175, 0.20119409399743451, 0.29918000715316884,
+            0.3941513470775634, 0.4850818636402397, 0.5709721726085388,
+            0.650996741297417, 0.7244177313601701, 0.790418501442466,
+            0.8482065834104272, 0.8972645323440819, 0.937273392400706,
+            0.9677390756791391, 0.9879925180204854, 0.9980022986933971)
+_WK_HALF = (0.10133000701479154, 0.10076984552387559, 0.09917359872179196,
+            0.09664272698362368, 0.09312659817082532, 0.08856444305621176,
+            0.08308050282313302, 0.07684968075772038, 0.06985412131872826,
+            0.06200956780067064, 0.05348152469092809, 0.04458975132476488,
+            0.03534636079137585, 0.02546084732671532, 0.015007947329316122,
+            0.005377479872923349)
+_WG_HALF = (0.2025782419255613, 0.19843148532711158, 0.1861610000155622,
+            0.16626920581699392, 0.13957067792615432, 0.10715922046717194,
+            0.07036604748810812, 0.03075324199611727)
+_XK = np.array([-x for x in _XK_HALF[:0:-1]] + list(_XK_HALF))
+_WK = np.array(_WK_HALF[:0:-1] + _WK_HALF)
+_WG = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 
 class _CachedPanels:
-    """Geometric quadrature panels with the s-independent factor cached.
+    """Gauss-Kronrod quadrature panels with the s-independent factor cached.
 
-    Each panel holds Gauss-Legendre nodes of two orders; the difference of
-    the two estimates drives on-demand panel splitting.  ``f`` maps an array
-    of nodes to their values; a panel calls it once per node set on its
-    first use and keeps the values for subsequent s evaluations, so an
-    extension that is never evaluated costs no trace evaluations.
+    Each panel holds the 31 nodes of the Kronrod rule K31, whose odd
+    positions are the 15 nodes of the Gauss rule G15; a panel splits in
+    two while |K31 - G15| exceeds the tolerance.  The panels are rows of
+    arrays and are refined in rounds: each round weights every live panel
+    at once, splits all failing panels together and fills all the children
+    with one call of ``f``, which maps an array of nodes to their values.
+    The values are kept for later s, so an extension that is never
+    evaluated costs no trace evaluations, and the accepted panels are
+    summed with fsum, so the result does not depend on their order.
     """
 
     def __init__(self, f, panels: list[tuple[float, float]]):
         self.f = f
-        self.panels = [(lo, hi, 0) for lo, hi in panels]
+        self.lo, self.hi = np.array(panels, dtype=float).T
+        self.depth = np.zeros(len(panels), dtype=int)
+        self.x = self.v = None   # nodes and half-width times f, on first use
 
-    def _make(self, lo, hi, depth):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        x15 = mid + half * _GL15[0]
-        x31 = mid + half * _GL31[0]
-        return [lo, hi, depth, x15, self.f(x15), x31, self.f(x31)]
+    def _fill(self, lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        x = 0.5 * (hi + lo)[:, None] + half * _XK
+        return x, half * self.f(x.ravel()).reshape(x.shape)
 
     def integrate(self, weight, tol: float) -> tuple[complex, float]:
-        total = 0.0 + 0.0j
-        err = 0.0
-        stack = list(self.panels)
-        refined: list = []
-        while stack:
-            panel = stack.pop()
-            if len(panel) == 3:
-                panel = self._make(*panel)
-            lo, hi, depth, x15, f15, x31, f31 = panel
-            half = 0.5 * (hi - lo)
-            w15 = weight(x15)
-            w31 = weight(x31)
-            e15 = half * np.sum(_GL15[1] * f15 * w15)
-            e31 = half * np.sum(_GL31[1] * f31 * w31)
-            diff = abs(e31 - e15)
-            if diff > tol and depth < PANEL_DEPTH:
-                mid = 0.5 * (lo + hi)
-                stack.append((lo, mid, depth + 1))
-                stack.append((mid, hi, depth + 1))
-                continue
-            refined.append(panel)
-            total += e31
-            err += diff
-        self.panels = refined
-        return total, err
+        if self.x is None:
+            self.x, self.v = self._fill(self.lo, self.hi)
+        live = (self.lo, self.hi, self.depth, self.x, self.v)
+        accepted = []
+        while True:
+            lo, hi, depth, x, v = live
+            fw = weight(x) * v
+            k31 = np.sum(fw * _WK, axis=1)
+            diff = np.abs(k31 - np.sum(fw[:, 1::2] * _WG, axis=1))
+            split = (diff > tol) & (depth < PANEL_DEPTH)
+            if not split.any():
+                accepted.append((*live, k31, diff))
+                break
+            keep = ~split
+            accepted.append(tuple(a[keep] for a in (*live, k31, diff)))
+            lo, hi = lo[split], hi[split]
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            live = (lo, hi, np.tile(depth[split] + 1, 2), *self._fill(lo, hi))
+        self.lo, self.hi, self.depth, self.x, self.v, k31, diff = (
+            np.concatenate(a) for a in zip(*accepted))
+        return complex(math.fsum(k31.real), math.fsum(k31.imag)), math.fsum(diff)
 
 
 @dataclass
@@ -156,35 +179,40 @@ class ZetaExtension:
     _i3: _CachedPanels | None = None
     last_error: float = 0.0
 
+    def __post_init__(self):
+        # the towers as arrays: location and coefficient of each live pole
+        self._live = [p for p in self.poles if p.coefficient != 0]
+        self._loc = np.array([p.location for p in self._live], dtype=complex)
+        self._coef = np.array([p.coefficient for p in self._live], dtype=complex)
+
     def _bracket_terms(self, s: complex):
-        bracket = 0.0 + 0.0j
         removable = 0.0 + 0.0j
         hit_residue = 0.0 + 0.0j
         hit_loc = None
-        log_t1 = math.log(self.t1)
-        for pole in self.poles:
-            coef, loc = pole.coefficient, pole.location
-            if coef == 0:
-                continue
-            d = s - loc
-            if abs(d) < POLE_TOL:
-                if abs(pole.residue) > 1e-13 * (1.0 + abs(coef)):
+        d = s - self._loc
+        coef = self._coef
+        near = np.abs(d) < POLE_TOL
+        if near.any():
+            for i in np.flatnonzero(near):
+                pole = self._live[i]
+                coef_i, loc = pole.coefficient, pole.location
+                if abs(pole.residue) > 1e-13 * (1.0 + abs(coef_i)):
                     hit_residue += pole.residue
                     hit_loc = loc
                 else:
                     # 1/Gamma has a matching zero; the product has the
                     # finite limit coef * (-1)^j j! at loc = -j
                     j = int(round(-loc.real))
-                    removable += coef * (-1) ** j * math.factorial(j)
-            else:
-                # int_0^t1 t^(s-1-exp+n) dt = t1^d / d with d = s - loc
-                bracket += coef * np.exp(d * log_t1) / d
-        if hit_loc is not None:
-            raise PoleError(
-                f"zeta evaluated at pole s={s!r}",
-                residue=hit_residue,
-                location=hit_loc,
-            )
+                    removable += coef_i * (-1) ** j * math.factorial(j)
+            if hit_loc is not None:
+                raise PoleError(
+                    f"zeta evaluated at pole s={s!r}",
+                    residue=hit_residue,
+                    location=hit_loc,
+                )
+            d, coef = d[~near], coef[~near]
+        # int_0^t1 t^(s-1-exp+n) dt = t1^d / d with d = s - loc
+        bracket = complex(np.sum(coef * np.exp(d * math.log(self.t1)) / d))
         return bracket, removable
 
     def _integral(self, panels: _CachedPanels | None,
@@ -254,7 +282,8 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
     ``gamma`` None is 1 for a Spectrum tail with a zero mode (a constant
     trace needs a shift to decay), else 0.  ``t1`` None is min(1, TAIL_DECAY
     / (lambda_max + gamma)) for a Spectrum tail, where its top mode has
-    decayed, else (or if that sum is not positive) 1.  Re gamma < 0 is
+    decayed (raised by ulps where the quotient rounds that product below
+    TAIL_DECAY), else (or if that sum is not positive) 1.  Re gamma < 0 is
     rejected: e^(-gamma t) then grows without bound on the tail.
     """
     is_spectrum = isinstance(tail, Spectrum)
@@ -266,6 +295,9 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
     if t1 is None:
         top = tail.lambda_max + gamma.real if is_spectrum and tail.n else 0.0
         t1 = min(1.0, TAIL_DECAY / top) if top > 0 else 1.0
+        # the quotient can round to a t1 that puts top * t1 an ulp short
+        while t1 < 1.0 and top * t1 < TAIL_DECAY:
+            t1 = math.nextafter(t1, math.inf)
     if t1 <= 0:
         raise DomainError("split point t1 must be positive")
     poles = _build_poles(model, gamma, n_max)

@@ -19,7 +19,9 @@ from carpetgas.oracle import (
 )
 from carpetgas.specfun import riemann_zeta
 from carpetgas.trace import HeatTraceModel, ModelTerm
+from carpetgas import zeta
 from carpetgas.zeta import (
+    PANEL_DEPTH,
     POLE_TOL,
     TAIL_DECAY,
     PoleProximityWarning,
@@ -240,6 +242,21 @@ class TestTailRoutes:
                           r"1\.19 < 35\); a truncated mode list needs a larger t1"):
             build_extension(box_model(1, bc="dirichlet"), 2.0, short, t1=0.1)
 
+    def test_derived_t1_does_not_warn(self):
+        # 35 / lambda_max rounds down here, and the product to 35 - 1 ulp;
+        # the derived t1 is raised by ulps until the top mode has decayed
+        short = Spectrum(np.array([1.0, 4389636.49782695]), bc="dirichlet",
+                         complete=False)
+        assert short.lambda_max * (TAIL_DECAY / short.lambda_max) < TAIL_DECAY
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext = build_extension(box_model(1, bc="dirichlet"), None, short)
+        assert short.lambda_max * ext.t1 >= TAIL_DECAY
+        assert ext.t1 == pytest.approx(TAIL_DECAY / short.lambda_max, rel=1e-15)
+        with pytest.warns(UserWarning, match="a truncated mode list"):
+            build_extension(box_model(1, bc="dirichlet"), None, short,
+                            t1=TAIL_DECAY / short.lambda_max)
+
     def test_complete_spectrum_does_not_warn(self):
         # (lambda_max + gamma) * t1 < TAIL_DECAY, but a complete mode list
         # is the whole trace
@@ -321,6 +338,66 @@ class TestTailRoutes:
     def test_bad_t1(self):
         with pytest.raises(DomainError):
             interval_extension(t1=-1.0)
+
+
+class TestQuadrature:
+    """The Gauss-Kronrod panels and the array form of the pole towers."""
+
+    @pytest.fixture(scope="class")
+    def carpet_ext(self, sc31_l4_neumann, sc31_l4_analysis):
+        return build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
+
+    def test_kronrod_rule_exact_to_degree_46(self):
+        for d in range(47):
+            want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(np.sum(zeta._WK * zeta._XK ** d) - want) < 1e-14
+
+    def test_gauss_nodes_sit_at_odd_positions(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert np.max(np.abs(zeta._XK[1::2] - nodes)) < 1e-15
+        assert np.max(np.abs(zeta._WG - weights)) < 1e-15
+
+    def test_one_trace_call_per_round(self, monkeypatch, sc31_l4_neumann,
+                                      sc31_l4_analysis):
+        sizes = []
+
+        def counted(eigenvalues, t):
+            sizes.append(np.size(t))
+            return zeta_trace_values(eigenvalues, t)
+
+        zeta_trace_values = zeta.trace_values
+        monkeypatch.setattr(zeta, "trace_values", counted)
+        ext = build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
+        initial = ext._i3.lo.size
+        sizes.clear()   # the decay probe
+        zeta_extended(ext, -0.5)
+        assert 1 <= len(sizes) <= PANEL_DEPTH + 1
+        # 31 nodes on each panel made: the initial ones and two per split
+        assert sum(sizes) == 31 * (2 * ext._i3.lo.size - initial)
+        sizes.clear()
+        zeta_extended(ext, -0.5)
+        zeta_extended(ext, 0.3)
+        assert sizes == []
+
+    def test_repeat_evaluation_is_bitwise(self, sc31_l4_neumann, sc31_l4_analysis):
+        ext = build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
+        first = [zeta_extended(ext, s) for s in (-0.5, 0.3 + 1.0j, -2.3)]
+        again = [zeta_extended(ext, s) for s in (-2.3, 0.3 + 1.0j, -0.5)]
+        assert first == again[::-1]
+        exact = interval_extension()
+        first = zeta_extended(exact, -1.3)
+        zeta_extended(exact, 0.25)
+        assert zeta_extended(exact, -1.3) == first
+
+    @pytest.mark.parametrize("s", [-2.3, -0.5, 0.3, 0.25 + 1.0j, 2.0, -7.7])
+    def test_bracket_matches_per_pole_sum(self, carpet_ext, s):
+        terms = [p.coefficient * carpet_ext.t1 ** (s - p.location) / (s - p.location)
+                 for p in carpet_ext.poles if p.coefficient != 0]
+        want = complex(math.fsum(v.real for v in terms),
+                       math.fsum(v.imag for v in terms))
+        got, removable = carpet_ext._bracket_terms(s)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert removable == 0
 
 
 class TestCasimir:
