@@ -15,6 +15,7 @@ CARPETGAS_CACHE environment variable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import hashlib
 import json
@@ -374,7 +375,7 @@ def _extension_for(ns):
 def cmd_zeta_eval(ns) -> int:
     if ns.s is None:
         raise CarpetGasError("zeta eval needs --s (complex, e.g. '-0.5' or '1+2j')")
-    s = complex(ns.s)
+    s = _COMPLEX(ns.s)
     ext, tag = _extension_for(ns)
     value = zeta.zeta_extended(ext, s)
     key = _key("zeta-eval", tag, _f(s.real), _f(s.imag))
@@ -503,7 +504,7 @@ def cmd_thermo_casimir(ns) -> int:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        return np.linspace(_FLOAT(lo), _FLOAT(hi), int(n))
     except ValueError as exc:
         raise CarpetGasError(f"bad grid {text!r}; expected lo:hi:n") from exc
 
@@ -605,6 +606,23 @@ def cmd_oracle_selftest(ns) -> int:
 # options: declared once, resolved once
 
 
+def _finite(kind):
+    """The converter of option text to a finite ``kind`` (float or complex):
+    text that reads as nan or inf is invalid, as text that reads as no
+    number is."""
+    def convert(text):
+        value = kind(text)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite number")
+        return value
+
+    convert.__name__ = kind.__name__   # argparse and _config_value print it
+    return convert
+
+
+_FLOAT, _COMPLEX = _finite(float), _finite(complex)
+
+
 @dataclass(frozen=True)
 class Option:
     """A command-line option, flag ``--name`` with ``_`` as ``-``.  ``type``
@@ -614,7 +632,7 @@ class Option:
 
     help: str
     default: object = None
-    type: type | None = None
+    type: object = None   # a converter from option text, as argparse takes
     choices: tuple | None = None
 
 
@@ -635,19 +653,19 @@ OPTIONS = {
                     type=int),
     "euclid": Option("use an exact Euclidean box instead of a carpet",
                      choices=tuple(sorted(_EUCLID_DIMS))),
-    "ds": Option("flat model with this spectral dimension", type=float),
+    "ds": Option("flat model with this spectral dimension", type=_FLOAT),
     "gamma": Option("spectral shift; unless given, zeta.build_extension's: 1 "
-                    "for a carpet with a zero mode, else 0", type=float),
+                    "for a carpet with a zero mode, else 0", type=_FLOAT),
     "t1": Option("Mellin split point; unless given, zeta.build_extension's: on "
                  "a carpet the point, at most 1, where the top mode has "
-                 "decayed, else 1", type=float),
+                 "decayed, else 1", type=_FLOAT),
     "nmax": Option("expansion depth per tower", zeta.N_MAX_DEFAULT, type=int),
     "s": Option("evaluation point, complex literal"),
     "beta": Option("inverse temperature; thermo casimir adds the thermal "
-                   "pressure only when given", 1.0, type=float),
-    "length": Option("box side L", 1.0, type=float),
-    "a": Option("cross-section side", 20.0, type=float),
-    "b": Option("plate separation", 1.0, type=float),
+                   "pressure only when given", 1.0, type=_FLOAT),
+    "length": Option("box side L", 1.0, type=_FLOAT),
+    "a": Option("cross-section side", 20.0, type=_FLOAT),
+    "b": Option("plate separation", 1.0, type=_FLOAT),
     "quantity": Option("swept observable", "density", choices=tuple(SWEEP_GRIDS)),
     "grid": Option("lo:hi:n sweep grid; by quantity, default "
                    + ", ".join(f"{g} for {q}" for q, g in SWEEP_GRIDS.items())),

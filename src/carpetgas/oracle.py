@@ -106,14 +106,13 @@ def box_trace_exact(box: BoxSpec, t: float) -> float:
     return out
 
 
-def box_model(dimension: int, bc: str = "dirichlet",
-              period: float = 1.0) -> HeatTraceModel:
+def box_model(dimension: int, bc: str = "dirichlet") -> HeatTraceModel:
     """Short-time expansion coefficients of the unit box, all codimensions.
 
     K(t) = prod (1/sqrt(4 pi t) -+ 1/2 + tiny) expands to
     sum_k C(d,k) (4 pi)^(-(d-k)/2) (-+1/2)^k t^(-(d-k)/2);
     Dirichlet takes the minus sign.  No oscillation: only p = 0 terms, and
-    the period field is inert.
+    the period field (1) is inert.
     """
     if dimension < 1:
         raise DomainError("dimension must be >= 1")
@@ -122,7 +121,7 @@ def box_model(dimension: int, bc: str = "dirichlet",
     for k in range(dimension + 1):
         coef = math.comb(dimension, k) * (4.0 * math.pi) ** (-(dimension - k) / 2.0) * sign**k
         terms.append(ModelTerm(k, 0, complex((dimension - k) / 2.0), complex(coef)))
-    return HeatTraceModel(terms=terms, period=period, d_s=float(dimension))
+    return HeatTraceModel(terms=terms, period=1.0, d_s=float(dimension))
 
 
 def euclid_bec_critical(dimension: int, beta: float):

@@ -26,6 +26,12 @@ FIT_WINDOW = (10.0, 0.1)
 # than a slope fit and needs >= 2 whole periods.
 FOURIER_WINDOW = (4.0, 0.25)
 ANALYSIS_POINTS = 900  # t points of analyze's heat-trace grid
+# counting_ratio's grid: this many points, uniform in log s from s = 2
+# (clear of the few lowest modes) to the top of the spectrum
+COUNTING_POINTS = 4096
+COUNTING_S_MIN = 2.0
+PERIOD_MIN = 0.8  # the shortest period dominant_log_period reports, in log units
+G0_SAMPLES = 10000  # g0_extrema's samples per period
 # Zero-padding factor of dominant_log_period's FFT: bins 1/OVERSAMPLE of
 # the unpadded spacing 1/(n dx) apart.
 OVERSAMPLE = 16
@@ -281,23 +287,19 @@ def estimate_period(spec, d_s: float) -> float:
 
 
 def extract_fourier(series: WeylSeries, d_s: float, period: float,
-                    p_max: int = P_MAX_DEFAULT,
-                    window: tuple[float, float] | None = None) -> HeatTraceModel:
+                    window: tuple[float, float],
+                    p_max: int = P_MAX_DEFAULT) -> HeatTraceModel:
     """Project W(t) = K t^(d_s/2) onto Fourier modes in x = -log t.
 
-    Averages over the last M whole periods inside the window (Cesaro sense);
+    Averages over the last M whole periods inside the t window (Cesaro sense);
     fewer than 2 whole periods is an error.  Coefficients for -p are the
     conjugates by construction.
     """
     if period <= 0:
         raise DomainError("period must be positive")
-    t = series.t
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t = t[mask]
-        W_all = series.weyl_ratio(d_s)[mask]
-    else:
-        W_all = series.weyl_ratio(d_s)
+    mask = (series.t >= window[0]) & (series.t <= window[1])
+    t = series.t[mask]
+    W_all = series.weyl_ratio(d_s)[mask]
     if t.size < 8:
         raise InsufficientDataError("too few grid points for projection")
     x = -np.log(t)[::-1]  # ascending x
@@ -329,38 +331,34 @@ def extract_fourier(series: WeylSeries, d_s: float, period: float,
     return HeatTraceModel(terms=terms, period=period, d_s=d_s)
 
 
-def counting_ratio(spectrum: Spectrum, d_s: float, points: int = 4096,
-                   s_min: float = 2.0,
-                   s_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def counting_ratio(spectrum: Spectrum, d_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Weyl ratio of the eigenvalue counting function, W = N(s) / s^(d_s/2).
 
     s is the eigenvalue normalized by the lowest nonzero one, the grid is
+    COUNTING_POINTS points from COUNTING_S_MIN to the top of the spectrum,
     uniform in x = log s (the natural domain of the log-periodic factor).
     Returns (x, W).
     """
-    lam1 = spectrum.lambda1
-    s_vals = spectrum.modes / lam1
-    top = s_max if s_max is not None else float(s_vals[-1])
-    if not 0 < s_min < top:
-        raise DomainError(f"need 0 < s_min < s_max, got [{s_min}, {top}]")
-    x = np.linspace(math.log(s_min), math.log(top), points)
+    s_vals = spectrum.modes / spectrum.lambda1
+    top = float(s_vals[-1])
+    if not COUNTING_S_MIN < top:
+        raise DomainError(f"need lambda_max / lambda_1 > {COUNTING_S_MIN:g}, got {top}")
+    x = np.linspace(math.log(COUNTING_S_MIN), math.log(top), COUNTING_POINTS)
     s = np.exp(x)
     N = np.searchsorted(s_vals, s, side="left").astype(np.float64)
     return x, N / s ** (0.5 * d_s)
 
 
-def dominant_log_period(x, values,
-                        period_range: tuple[float, float | None] = (0.8, None)
-                        ) -> tuple[float, float]:
+def dominant_log_period(x, values) -> tuple[float, float]:
     """Strongest periodic component of a sampled curve, period in x units.
 
     Returns (period, relative amplitude).  The samples are interpolated onto
     n uniform points dx apart, linearly detrended, Hann tapered, and read by
     one rfft zero-padded to OVERSAMPLE * n, whose bins are
     1/(OVERSAMPLE * n * dx) apart; relative amplitude is the peak magnitude
-    divided by the mean of the input.  A period is only reported if it fits
-    at least twice into the span (an upper range limit of None means span/2),
-    a range that holds no bin is a DomainError, and pure power-law input
+    divided by the mean of the input.  A period is only reported if it is at
+    least PERIOD_MIN and fits at least twice into the span; a range that is
+    empty or holds no bin is a DomainError, and pure power-law input
     stays below 1e-6 relative (no false positives).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -374,10 +372,8 @@ def dominant_log_period(x, values,
     ws = np.interp(xs, x, values)
     mean = float(np.mean(ws))
     span = xs[-1] - xs[0]
-    p_lo, p_hi = period_range
-    if p_hi is None:
-        p_hi = span / 2.0
-    if not 0 < p_lo < p_hi:
+    p_lo, p_hi = PERIOD_MIN, span / 2.0
+    if not p_lo < p_hi:
         raise DomainError(f"bad period range ({p_lo}, {p_hi})")
     coef = np.polyfit(xs, ws, 1)
     taper = np.hanning(n)
@@ -414,24 +410,24 @@ def spectral_volume(model: HeatTraceModel, length: float) -> float:
     return (4.0 * math.pi) ** (model.d_s / 2.0) * model.g00 * length**model.d_s
 
 
-def g0_extrema(model: HeatTraceModel, samples: int = 10000) -> tuple[float, float]:
+def g0_extrema(model: HeatTraceModel) -> tuple[float, float]:
     """(min, max) of the reconstructed G_0 over one period.
 
-    Dense sampling plus one parabolic refinement through the winning sample
-    and its neighbours; exact for a trigonometric polynomial to well below
-    the sampling error.
+    Dense sampling (G0_SAMPLES points) plus one parabolic refinement
+    through the winning sample and its neighbours; exact for a
+    trigonometric polynomial to well below the sampling error.
     """
-    xs = np.linspace(0.0, model.period, samples, endpoint=False)
+    xs = np.linspace(0.0, model.period, G0_SAMPLES, endpoint=False)
     vals = model.g_profile(0, xs)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(np.max(np.abs(vals.real)), 1e-300):
         raise DomainError("reconstructed G_0 is not real")
     re = vals.real
-    h = model.period / samples
+    h = model.period / G0_SAMPLES
 
     def refine(idx):
-        a = re[(idx - 1) % samples]
+        a = re[(idx - 1) % G0_SAMPLES]
         b = re[idx]
-        c = re[(idx + 1) % samples]
+        c = re[(idx + 1) % G0_SAMPLES]
         denom = a - 2.0 * b + c
         if denom == 0.0:
             return b
@@ -456,8 +452,7 @@ def analyze(spectrum: Spectrum, spec=None, p_max: int = P_MAX_DEFAULT) -> dict:
         # counting-function domain: the log-periodic factor survives there,
         # while the heat trace suppresses it by a fast-decaying Gamma factor
         period, _ = dominant_log_period(*counting_ratio(spectrum, d_s))
-    model = extract_fourier(series, d_s, period, p_max=p_max,
-                            window=windows["fourier"])
+    model = extract_fourier(series, d_s, period, windows["fourier"], p_max=p_max)
     return {
         "series": series,
         "d_s": d_s,

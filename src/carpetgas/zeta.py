@@ -3,11 +3,12 @@
 zeta(s, gamma) = Tr(-Delta + gamma)^(-s).  For Re(s) large it is a direct
 eigenvalue sum with a Weyl tail correction.  Everywhere else it is continued
 through the Mellin transform of the heat trace: the model terms integrate in
-closed form on (0, t1] and produce the pole towers.  The t >= t1 tail of the
-trace K(t) -- an exact callable or a spectrum's own heat trace -- and, for an
-exact trace, the remainder K - model on (0, t1] are integrated on cached
-Gauss-Kronrod G15/K31 panels, refined in rounds with one trace call per
-round.  Pole locations d_{k,p}/2 - n carry residues
+closed form on (0, t1] and produce the pole towers.  The rest is one
+integral on one set of cached Gauss-Kronrod G15/K31 panels, refined in
+rounds with one trace call per round: the trace K(t) beyond t1 -- an exact
+callable or a spectrum's own heat trace -- and, for an exact trace, the
+remainder K - model on (0, t1] under the same integrand; a spectrum tail
+takes that remainder as 0.  Pole locations d_{k,p}/2 - n carry residues
 (-1)^n gamma^n G_{k,p} / (n! Gamma(d_{k,p}/2 - n)); the reciprocal-gamma
 factor makes trivial zeros at -1, -2, ... exact.  The tower terms of one s
 are summed as one array expression.
@@ -139,7 +140,10 @@ class _CachedPanels:
         x = 0.5 * (hi + lo)[:, None] + half * _XK
         return x, half * self.f(x.ravel()).reshape(x.shape)
 
-    def integrate(self, weight, tol: float) -> tuple[complex, float]:
+    def integrate(self, weight, tol: float,
+                  cut: float) -> list[tuple[complex, float]]:
+        """(integral, error estimate) of weight * f over the panels below
+        ``cut`` and, apart, over those above it."""
         if self.x is None:
             self.x, self.v = self._fill(self.lo, self.hi)
         live = (self.lo, self.hi, self.depth, self.x, self.v)
@@ -161,7 +165,9 @@ class _CachedPanels:
             live = (lo, hi, np.tile(depth[split] + 1, 2), *self._fill(lo, hi))
         self.lo, self.hi, self.depth, self.x, self.v, k31, diff = (
             np.concatenate(a) for a in zip(*accepted))
-        return complex(math.fsum(k31.real), math.fsum(k31.imag)), math.fsum(diff)
+        below = self.hi <= cut
+        return [(complex(math.fsum(k31[m].real), math.fsum(k31[m].imag)),
+                 math.fsum(diff[m])) for m in (below, ~below)]
 
 
 @dataclass
@@ -173,10 +179,9 @@ class ZetaExtension:
     t1: float
     n_max: int
     poles: list[Pole]
-    # quadratures of the (0, t1] remainder and the t >= t1 trace; None
-    # where that integral is taken as 0
-    _i2: _CachedPanels | None = None
-    _i3: _CachedPanels | None = None
+    # the numeric part of the Mellin integral: the trace beyond t1 and, for
+    # an exact trace, the remainder K - model on (0, t1]
+    panels: _CachedPanels
     last_error: float = 0.0
 
     def __post_init__(self):
@@ -215,26 +220,20 @@ class ZetaExtension:
         bracket = complex(np.sum(coef * np.exp(d * math.log(self.t1)) / d))
         return bracket, removable
 
-    def _integral(self, panels: _CachedPanels | None,
-                  s: complex) -> tuple[complex, float]:
-        """int t^(s-1) e^(-gamma t) f(t) dt over ``panels``, with its error."""
-        if panels is None:
-            return 0.0 + 0.0j, 0.0
+    def evaluate(self, s: complex) -> complex:
+        s = complex(s)
+        bracket, removable = self._bracket_terms(s)
         g = self.gamma
 
         def weight(t):
             return t ** (s - 1.0) * np.exp(-g * t)
 
-        return panels.integrate(weight, QUAD_TOL)
-
-    def evaluate(self, s: complex) -> complex:
-        s = complex(s)
-        bracket, removable = self._bracket_terms(s)
-        i2, e2 = self._integral(self._i2, s)
-        i3, e3 = self._integral(self._i3, s)
+        # the (0, t1] remainder and the tail: two fsum'd terms, added in turn
+        (rest, rest_err), (tail, tail_err) = self.panels.integrate(
+            weight, QUAD_TOL, self.t1)
         rg = gamma_reciprocal(s)
-        self.last_error = (e2 + e3 + self.n_tail_bound(s)) * abs(rg)
-        return rg * (bracket + i2 + i3) + removable
+        self.last_error = (rest_err + tail_err + self.n_tail_bound(s)) * abs(rg)
+        return rg * (bracket + rest + tail) + removable
 
     def n_tail_bound(self, s: complex) -> float:
         """Bound on the dropped n > n_max Taylor terms of e^(-gamma t).
@@ -267,17 +266,14 @@ def _build_poles(model: HeatTraceModel, gamma: complex, n_max: int) -> list[Pole
 
 
 def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
-                    t1: float | None = None, n_max: int = N_MAX_DEFAULT,
-                    allow_truncated_tail: bool = False) -> ZetaExtension:
-    """Assemble the continuation from a model plus a t >= t1 representation.
+                    t1: float | None = None,
+                    n_max: int = N_MAX_DEFAULT) -> ZetaExtension:
+    """Assemble the continuation from a model plus a representation of the trace.
 
-    ``tail`` may be a Spectrum, whose heat trace is integrated beyond t1
-    while the remainder on (0, t1] is taken as 0; a callable t -> K(t)
-    treated as the exact trace, whose remainder and tail both stay numeric;
-    or None.  Either trace goes through the same cached quadrature.  None
-    means the model alone is continued -- a hard truncation of the t >= t1
-    integral -- and must be opted into with ``allow_truncated_tail``
-    (synthetic-model work); the pole structure is unaffected by the choice.
+    ``tail`` is a Spectrum, whose heat trace is integrated beyond t1 while
+    the remainder on (0, t1] is taken as 0, or a callable t -> K(t) treated
+    as the exact trace, whose remainder on (0, t1] is integrated too.  One
+    set of cached quadrature panels holds both parts of the integral.
 
     ``gamma`` None is 1 for a Spectrum tail with a zero mode (a constant
     trace needs a shift to decay), else 0.  ``t1`` None is min(1, TAIL_DECAY
@@ -300,16 +296,6 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
             t1 = math.nextafter(t1, math.inf)
     if t1 <= 0:
         raise DomainError("split point t1 must be positive")
-    poles = _build_poles(model, gamma, n_max)
-    ext = ZetaExtension(model=model, gamma=gamma, t1=t1, n_max=n_max, poles=poles)
-    if tail is None:
-        if not allow_truncated_tail:
-            raise DomainError(
-                "missing tail representation; pass a Spectrum, an exact-trace "
-                "callable, or allow_truncated_tail=True"
-            )
-        return ext
-    remainder_fn = None
     if is_spectrum:
         if gamma.imag != 0:
             raise DomainError("spectrum tails support real gamma only")
@@ -323,16 +309,20 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
                 stacklevel=2,
             )
 
-        trace_fn = partial(trace_values, tail.modes)
+        trace_fn = integrand = partial(trace_values, tail.modes)
     elif callable(tail):
         trace_fn = np.vectorize(tail, otypes=[float])  # one t per call
 
-        def remainder_fn(t):
-            m = model.evaluate(t).real
-            r = trace_fn(t) - m
+        def integrand(t):
+            """K beyond t1, the remainder K - model below it."""
+            k = trace_fn(t)
+            below = t < t1
+            m = model.evaluate(t[below]).real
+            r = k[below] - m
             # below the rounding floor of the subtraction the remainder is
             # not representable; treat it as zero
-            return np.where(np.abs(r) < 1e3 * 2.2e-16 * np.abs(m), 0.0, r)
+            k[below] = np.where(np.abs(r) < 1e3 * 2.2e-16 * np.abs(m), 0.0, r)
+            return k
     else:
         raise DomainError(f"unsupported tail representation {type(tail)!r}")
 
@@ -345,14 +335,6 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
             "trace does not decay on the tail (constant mode?); "
             "a positive gamma shift is required"
         )
-    if remainder_fn is not None:
-        # geometric panels toward 0 for the remainder
-        lows = [t1 * 2.0 ** (-j) for j in range(41)]
-        i2_panels = [(lo, hi) for hi, lo in zip(lows[:-1], lows[1:])]
-        i2_panels.append((0.0, lows[-1]))
-        i2_panels.reverse()
-        ext._i2 = _CachedPanels(remainder_fn, i2_panels)
-
     # doubling panels outward from t1 to past the last probe still above
     # the underflow floor
     decayed = probes[weighted > 1e-320]
@@ -360,8 +342,12 @@ def build_extension(model: HeatTraceModel, gamma: complex | None, tail,
     bounds = [t1]
     while bounds[-1] < top:
         bounds.append(bounds[-1] * 2.0)
-    ext._i3 = _CachedPanels(trace_fn, list(zip(bounds[:-1], bounds[1:])))
-    return ext
+    if not is_spectrum:
+        # and geometric panels toward 0 for the remainder
+        bounds = [0.0] + [t1 * 2.0 ** (-j) for j in range(40, 0, -1)] + bounds
+    return ZetaExtension(model=model, gamma=gamma, t1=t1, n_max=n_max,
+                         poles=_build_poles(model, gamma, n_max),
+                         panels=_CachedPanels(integrand, list(zip(bounds[:-1], bounds[1:]))))
 
 
 def zeta_extended(ext: ZetaExtension, s: complex) -> complex:

@@ -207,9 +207,9 @@ def test_criterion_09_extension_consistency():
         terms=[ModelTerm(t.k, t.p, t.exponent, 2.0 * t.coefficient)
                for t in model.terms],
         period=model.period, d_s=model.d_s)
-    base = zeta.build_extension(model, 0.25, None, allow_truncated_tail=True)
-    scaled = zeta.build_extension(doubled, 0.25, None,
-                                  allow_truncated_tail=True)
+    base = zeta.build_extension(model, 0.25, lambda t: interval_trace_exact(t))
+    scaled = zeta.build_extension(doubled, 0.25,
+                                  lambda t: 2.0 * interval_trace_exact(t))
     linear = all(b.residue == 2.0 * a.residue and b.location == a.location
                  for a, b in zip(base.poles, scaled.poles))
 

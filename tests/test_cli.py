@@ -363,6 +363,42 @@ class TestThermoStage:
         assert code == 1
         assert json.loads(captured.err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("args,config,code,error", [
+        (("thermo", "blackbody", "--ds", 3, "--beta", "nan"), None, 2, None),
+        (("thermo", "casimir", "--ds", 2, "--a", "inf"), None, 2, None),
+        (("thermo", "sweep", "--ds", 2, "--beta", "nan"), None, 2, None),
+        (("thermo", "blackbody", "--ds", 3, "--beta", "abc"), None, 2, None),
+        (("zeta", "eval", "--euclid", "interval", "--s", "nan"), None, 1,
+         "ValueError"),
+        (("zeta", "eval", "--euclid", "interval", "--s", "1+infj"), None, 1,
+         "ValueError"),
+        (("thermo", "sweep", "--ds", 2, "--grid", "0.1:nan:3"), None, 1,
+         "CarpetGasError"),
+        (("thermo", "blackbody", "--ds", 3), '{"beta": NaN}', 1, "CarpetGasError"),
+        (("thermo", "blackbody", "--ds", 3), '{"beta": 1e999}', 1, "CarpetGasError"),
+        (("thermo", "blackbody", "--ds", 3), '{"beta": "abc"}', 1, "CarpetGasError"),
+    ], ids=["blackbody-beta", "casimir-a", "sweep-beta", "beta-abc", "zeta-s",
+            "zeta-s-complex", "sweep-grid", "config-nan", "config-overflow",
+            "config-abc"])
+    def test_non_finite_number_rejected(self, capsys, tmp_path, args, config,
+                                        code, error):
+        # nan and inf fail where option text becomes a number, as "abc" does
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(config)
+            args += ("--config", cfg)
+        args += ("--out", tmp_path / "out")
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main([str(a) for a in args])
+            assert exc.value.code == 2
+            assert "invalid float value" in capsys.readouterr().err
+        else:
+            got, captured = run(capsys, *args)
+            assert got == 1 and captured.out == ""
+            assert json.loads(captured.err)["error"] == error
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_rejected(self, capsys):
         code, captured = run(capsys, "thermo", "sweep", "--ds", 2.5,
                              "--grid", "oops")

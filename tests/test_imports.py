@@ -1,11 +1,13 @@
 """Every name an import binds in a package module is used in that module,
 and so is every private name the module defines at top level; every name a
 module lists in ``__all__`` is bound at its top level; every public function
-a module defines is a plain Python function."""
+a module defines is a plain Python function; every keyword default of a
+public function is set by some call in the package or the benchmark."""
 
 import ast
 import functools
 import importlib
+import math
 import pathlib
 import types
 
@@ -142,3 +144,81 @@ def test_plain_function_scanner_flags_cached_functions():
 def test_public_functions_are_plain(path):
     name = "carpetgas" if path.stem == "__init__" else f"carpetgas.{path.stem}"
     assert unplain_functions(importlib.import_module(name)) == []
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Public functions whose keyword defaults only tests set: the independent
+# references that tests compare the pipeline against, kept on purpose (the
+# other references kept so, such as tail_density, blackbody_spectrum,
+# waveguide_trace and load_model, have no keyword default).
+UNSET_DEFAULTS_EXEMPT = {
+    "zeta.zeta_direct": "criterion 09's direct-sum reference; tests set "
+                        "gamma and tail_correct",
+    "thermo.density_series": "the series reference for the polylogarithm "
+                             "density; tests set its truncation",
+    "oracle.cube_photon_energy_density": "the exact cube reference for the "
+                                         "blackbody law; tests set its cutoff",
+    "thermo.free_energy_density": "the paper's f = -log Xi / (beta V_s); "
+                                  "tests check it, no stage prints it yet",
+}
+
+
+def unset_keyword_defaults(definitions: dict[str, str],
+                           callers: list[str]) -> list[str]:
+    """``module.function(param)`` for each keyword default of a public
+    top-level function in ``definitions`` (module name -> source) that no
+    call in ``callers`` sets, by keyword or by position.
+
+    A call is matched by the called name alone; ``rec.call(phase, label,
+    fn, *args, **kw)`` counts as a call of ``fn``.  A ``*args`` may reach
+    every later position and a ``**kw`` every keyword, so both count as
+    setting them."""
+    positions, keywords = {}, set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 3:
+                func, args = args[2], args[3:]
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            reach = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            positions[name] = max(positions.get(name, 0), reach)
+            keywords.update((name, kw.arg) for kw in node.keywords)
+    unset = []
+    for module, source in definitions.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            a, name = node.args, node.name
+            params = a.posonlyargs + a.args
+            first = len(params) - len(a.defaults)
+            defaults = [(i, p.arg) for i, p in enumerate(params) if i >= first]
+            defaults += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+            unset += [f"{module}.{name}({param})" for i, param in defaults
+                      if positions.get(name, 0) <= i
+                      and (name, param) not in keywords and (name, None) not in keywords]
+    return unset
+
+
+def test_unset_default_scanner_flags_defaults_no_call_sets():
+    definitions = {"m": ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                         "def g(x=0):\n    pass\n"
+                         "def h(y=0):\n    pass\n"
+                         "def k(z=0, w=1):\n    pass\n"
+                         "def _p(q=0):\n    pass\n")}
+    callers = ["f(1, 2, d=5)\n", "rec.call('phase', 'label', m.g, 1)\n",
+               "h(**options)\nk(*pair)\n"]
+    assert unset_keyword_defaults(definitions, callers) == ["m.f(c)", "m.f(e)"]
+
+
+def test_every_keyword_default_is_set_by_a_caller():
+    definitions = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in [*ALL_MODULES, *sorted(PERFBENCH.glob("*.py"))]]
+    found = unset_keyword_defaults(definitions, callers)
+    assert [item for item in found
+            if item.split("(")[0] not in UNSET_DEFAULTS_EXEMPT] == []
+    # an exemption that no longer exempts anything goes
+    assert set(UNSET_DEFAULTS_EXEMPT) <= {item.split("(")[0] for item in found}

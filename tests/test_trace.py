@@ -12,10 +12,13 @@ from carpetgas.eigensolve import Spectrum
 from carpetgas.errors import DomainError, InsufficientDataError
 from carpetgas.oracle import box_model, box_spectrum, interval_trace_exact, unit_box
 from carpetgas.trace import (
+    COUNTING_POINTS,
+    COUNTING_S_MIN,
     EXP_UNDERFLOW,
     FIT_WINDOW,
     FOURIER_WINDOW,
     OVERSAMPLE,
+    PERIOD_MIN,
     HeatTraceModel,
     ModelTerm,
     WeylSeries,
@@ -310,11 +313,12 @@ class TestExtractFourier:
         p = self.model.period
         # exactly three whole periods in x = -log t
         self.grid = log_grid(math.exp(-3 * p), 1.0, 3001)
+        self.window = (self.grid[0], self.grid[-1])
         K = np.array([self.model.evaluate(t).real for t in self.grid])
         self.series = WeylSeries(t=self.grid, K=K)
 
     def test_recovers_planted_coefficients(self):
-        got = extract_fourier(self.series, 1.6, 1.25, p_max=3)
+        got = extract_fourier(self.series, 1.6, 1.25, self.window, p_max=3)
         assert got.coefficient(0, 0).real == pytest.approx(2.0, abs=1e-10)
         c1 = got.coefficient(0, 1)
         want = 0.15 * cmath.exp(0.7j)
@@ -324,42 +328,43 @@ class TestExtractFourier:
         assert abs(got.coefficient(0, 3)) < 1e-10
 
     def test_term_count(self):
-        got = extract_fourier(self.series, 1.6, 1.25, p_max=2)
+        got = extract_fourier(self.series, 1.6, 1.25, self.window, p_max=2)
         assert len(got.terms) == 5
         assert {t.p for t in got.terms} == {-2, -1, 0, 1, 2}
 
     def test_exponents_carry_oscillation(self):
-        got = extract_fourier(self.series, 1.6, 1.25, p_max=1)
+        got = extract_fourier(self.series, 1.6, 1.25, self.window, p_max=1)
         term = next(t for t in got.terms if t.p == 1)
         assert term.exponent == pytest.approx(complex(0.8, 2 * math.pi / 1.25))
 
     def test_too_short_window_raises(self):
         with pytest.raises(InsufficientDataError):
-            extract_fourier(self.series, 1.6, 2.5)
+            extract_fourier(self.series, 1.6, 2.5, self.window)
 
     def test_bad_period(self):
         with pytest.raises(DomainError):
-            extract_fourier(self.series, 1.6, 0.0)
+            extract_fourier(self.series, 1.6, 0.0, self.window)
 
 
 class TestCountingRatio:
     def test_interval_counting_values(self):
-        spec = box_spectrum(unit_box(1), cutoff=1.0e4)
-        x, w = counting_ratio(spec, 1.0, points=64, s_min=2.0, s_max=80.0)
-        assert x[0] == pytest.approx(math.log(2.0))
-        assert x[-1] == pytest.approx(math.log(80.0))
-        # eigenvalues sit at s = j^2; strictly below s counts floor(sqrt(s)) modes
+        # eigenvalues sit at s = j^2 for j <= 9
+        spec = box_spectrum(unit_box(1), cutoff=81.5 * math.pi ** 2)
+        x, w = counting_ratio(spec, 1.0)
+        assert x.size == COUNTING_POINTS
+        assert x[0] == pytest.approx(math.log(COUNTING_S_MIN))
+        assert x[-1] == pytest.approx(math.log(81.0))
+        # strictly below s counts the j with j^2 < s
         for xi, wi in zip(x, w):
             s = math.exp(xi)
-            n = len([j for j in range(1, 100) if j * j < s])
+            n = len([j for j in range(1, 10) if j * j < s])
             assert wi == pytest.approx(n / math.sqrt(s), rel=1e-12)
 
     def test_domain(self):
-        spec = box_spectrum(unit_box(1), cutoff=1000.0)
-        with pytest.raises(DomainError):
-            counting_ratio(spec, 1.0, s_min=0.0)
-        with pytest.raises(DomainError):
-            counting_ratio(spec, 1.0, s_min=5.0, s_max=4.0)
+        # lambda_max / lambda_1 at or below COUNTING_S_MIN leaves no grid
+        for ev in ([math.pi ** 2], [1.0, COUNTING_S_MIN]):
+            with pytest.raises(DomainError, match="lambda_max / lambda_1"):
+                counting_ratio(Spectrum(np.array(ev), bc="dirichlet"), 1.0)
 
 
 class TestDominantLogPeriod:
@@ -389,9 +394,11 @@ class TestDominantLogPeriod:
     def test_validation(self):
         with pytest.raises(DomainError):
             dominant_log_period(np.arange(4.0), np.arange(4.0))
-        x = np.linspace(0.0, 5.0, 100)
-        with pytest.raises(DomainError):
-            dominant_log_period(x, np.ones(100), period_range=(3.0, 2.0))
+        # a curve shorter than 2 * PERIOD_MIN holds no period twice
+        x = np.linspace(0.0, 1.5, 100)
+        assert x[-1] < 2.0 * PERIOD_MIN
+        with pytest.raises(DomainError, match="bad period range"):
+            dominant_log_period(x, np.ones(100))
         # the band [1/0.805, 1/0.8] falls between two bins
         x = np.linspace(0.0, 1.61, 100)
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from carpetgas.graph import build_graph
 from carpetgas.oracle import (
     box_model,
     box_spectrum,
+    box_trace_exact,
     interval_trace_exact,
     unit_box,
 )
@@ -23,6 +24,7 @@ from carpetgas import zeta
 from carpetgas.zeta import (
     PANEL_DEPTH,
     POLE_TOL,
+    QUAD_TOL,
     TAIL_DECAY,
     PoleProximityWarning,
     ZetaExtension,
@@ -167,8 +169,9 @@ class TestResidues:
     def test_collided_tower_sums_residues(self):
         # d=3 box: the gamma-shifted volume tower lands on the codim-2 pole
         gamma = 0.5
-        ext = build_extension(box_model(3, bc="dirichlet"), gamma, None,
-                              allow_truncated_tail=True)
+        cube = unit_box(3)
+        ext = build_extension(box_model(3, bc="dirichlet"), gamma,
+                              lambda t: box_trace_exact(cube, t))
         s0 = 0.5
         contributors = [p for p in ext.poles if abs(p.location - s0) < 1e-9
                         and abs(p.residue) > 0]
@@ -188,8 +191,9 @@ class TestResidues:
             period=model.period,
             d_s=model.d_s,
         )
-        base = build_extension(model, 0.25, None, allow_truncated_tail=True)
-        scaled = build_extension(doubled, 0.25, None, allow_truncated_tail=True)
+        base = build_extension(model, 0.25, lambda t: interval_trace_exact(t))
+        scaled = build_extension(doubled, 0.25,
+                                 lambda t: 2.0 * interval_trace_exact(t))
         assert len(base.poles) == len(scaled.poles)
         for a, b in zip(base.poles, scaled.poles):
             assert b.location == a.location
@@ -229,7 +233,9 @@ class TestTailRoutes:
                      for m in mu]
             want = complex(math.fsum(v.real for v in terms),
                            math.fsum(v.imag for v in terms))
-            got, _ = ext._integral(ext._i3, s)
+            remainder, (got, _) = ext.panels.integrate(
+                lambda t: t ** (s - 1.0) * np.exp(-gamma * t), QUAD_TOL, t1)
+            assert remainder == (0.0, 0.0)
             assert abs(got - want) <= 1e-12 * abs(want)
             zeta_extended(ext, s)
             assert math.isfinite(ext.last_error) and ext.last_error < 1e-9
@@ -317,8 +323,8 @@ class TestTailRoutes:
             build_extension(box_model(1, bc="neumann"), 0.0,
                             lambda t: interval_trace_exact(t, bc="neumann"))
 
-    def test_missing_tail_needs_opt_in(self):
-        with pytest.raises(DomainError):
+    def test_missing_tail_rejected(self):
+        with pytest.raises(DomainError, match="unsupported tail"):
             build_extension(box_model(1, bc="dirichlet"), 0.0, None)
 
     def test_callable_tail_called_one_t_at_a_time(self):
@@ -368,16 +374,28 @@ class TestQuadrature:
         zeta_trace_values = zeta.trace_values
         monkeypatch.setattr(zeta, "trace_values", counted)
         ext = build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
-        initial = ext._i3.lo.size
+        initial = ext.panels.lo.size
         sizes.clear()   # the decay probe
         zeta_extended(ext, -0.5)
         assert 1 <= len(sizes) <= PANEL_DEPTH + 1
         # 31 nodes on each panel made: the initial ones and two per split
-        assert sum(sizes) == 31 * (2 * ext._i3.lo.size - initial)
+        assert sum(sizes) == 31 * (2 * ext.panels.lo.size - initial)
         sizes.clear()
         zeta_extended(ext, -0.5)
         zeta_extended(ext, 0.3)
         assert sizes == []
+
+    def test_panels_below_t1_only_for_an_exact_trace(self, sc31_l4_neumann,
+                                                     sc31_l4_analysis):
+        # one panel set: a spectrum tail starts at t1, and an exact trace
+        # adds the 41 geometric panels of its remainder on (0, t1]
+        ext = build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
+        assert ext.panels.lo.min() == ext.t1
+        exact = interval_extension(t1=0.6)
+        below = exact.panels.hi <= exact.t1
+        assert np.count_nonzero(below) == 41
+        assert exact.panels.lo.min() == 0.0
+        assert np.all(exact.panels.lo[~below] >= exact.t1)
 
     def test_repeat_evaluation_is_bitwise(self, sc31_l4_neumann, sc31_l4_analysis):
         ext = build_extension(sc31_l4_analysis["model"], None, sc31_l4_neumann)
@@ -437,8 +455,6 @@ class TestCasimir:
             0.5 * math.fsum(math.sqrt(max(v, 0.0)) for v in ev.tolist()), rel=1e-14)
 
     def test_gamma_shift_rejected(self):
-        ext = build_extension(box_model(1, bc="dirichlet"), 1.0, None,
-                              allow_truncated_tail=True)
         with pytest.raises(DomainError):
-            casimir_energy(ext)
+            casimir_energy(interval_extension(gamma=1.0))
 
